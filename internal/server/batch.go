@@ -25,8 +25,7 @@ import (
 // ended on purpose rather than on a cut wire.
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "2")
-		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return s.refuseDraining(w)
 	}
 	var req client.BatchRequest
 	if err := decodeBody(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
@@ -58,8 +57,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer release()
 	if !s.addSubmitter() {
-		w.Header().Set("Retry-After", "2")
-		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return s.refuseDraining(w)
 	}
 	defer s.submitters.Done()
 	s.met.batchItems.Add(uint64(len(req.Items)))

@@ -29,14 +29,13 @@ type jobState struct {
 	done    bool
 	summary client.BatchRecord
 
-	// changed is closed and replaced on every append, and closed for
-	// good at finish — a waiter holding the old channel wakes exactly
-	// once per state change it hasn't seen.
-	changed chan struct{}
+	// changed is notified on every append and ended at finish, so late
+	// streamers wake immediately and see done on their next view.
+	changed *broadcast
 }
 
 func newJob(id string, total int) *jobState {
-	return &jobState{id: id, total: total, changed: make(chan struct{})}
+	return &jobState{id: id, total: total, changed: newBroadcast()}
 }
 
 func (j *jobState) append(rec client.BatchRecord) {
@@ -45,33 +44,30 @@ func (j *jobState) append(rec client.BatchRecord) {
 	if rec.Status != http.StatusOK {
 		j.failed++
 	}
-	ch := j.changed
-	j.changed = make(chan struct{})
 	j.mu.Unlock()
-	close(ch)
+	j.changed.notify()
 }
 
 func (j *jobState) finish(summary client.BatchRecord) {
 	j.mu.Lock()
 	j.done = true
 	j.summary = summary
-	ch := j.changed
 	j.mu.Unlock()
-	// Left closed permanently: late streamers wake immediately and see
-	// done on their next view.
-	close(ch)
+	j.changed.end()
 }
 
 // view returns the records from index from onward, completion state,
-// and the channel that closes on the next change. The returned slice
-// aliases the log (entries are never mutated after append).
+// and the channel that closes on the next change — taken before the
+// read, so a change after it always wakes the caller. The returned
+// slice aliases the log (entries are never mutated after append).
 func (j *jobState) view(from int) (recs []client.BatchRecord, done bool, summary client.BatchRecord, ch <-chan struct{}) {
+	ch = j.changed.wait()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.records) {
 		recs = j.records[from:]
 	}
-	return recs, j.done, j.summary, j.changed
+	return recs, j.done, j.summary, ch
 }
 
 func (j *jobState) isDone() bool {
@@ -151,8 +147,7 @@ func (s *jobStore) get(id string) *jobState {
 // GET /v1/jobs/{id} to poll or stream.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "2")
-		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return s.refuseDraining(w)
 	}
 	var req client.BatchRequest
 	if err := decodeBody(w, r, s.cfg.MaxBatchBytes, &req); err != nil {
@@ -197,8 +192,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) int {
 	}
 	if !s.addSubmitter() {
 		release()
-		w.Header().Set("Retry-After", "2")
-		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return s.refuseDraining(w)
 	}
 	id := "job-" + obs.NewTraceID()[:16]
 	js := newJob(id, len(req.Items))

@@ -29,8 +29,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusNotFound, "mining disabled; start shelleyd with -mine")
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "2")
-		return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
+		return s.refuseDraining(w)
 	}
 	var evs []mine.Event
 	charge := 0
@@ -90,29 +89,14 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) int {
 	return s.writeRaw(w, code, body)
 }
 
-// mineLoop is the background learner: every MineInterval it re-mines
-// the classes whose observed language grew and re-diffs them against
-// the static models. It exits when mineCtx is canceled (Shutdown).
-func (s *Server) mineLoop() {
-	defer close(s.mineDone)
-	t := time.NewTicker(s.cfg.MineInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.mineCtx.Done():
-			return
-		case <-t.C:
-			s.mineOnce()
-		}
-	}
-}
-
 // mineOnce runs one mining round under the daemon's resource budget and
 // request timeout, wrapped in its own root span so round latency and
 // per-class learning cost land in the trace ring alongside request
-// spans.
+// spans. The background loop (every MineInterval) re-mines only the
+// classes whose observed language grew; Shutdown's stopping context
+// aborts a round in progress.
 func (s *Server) mineOnce() mine.RoundStats {
-	ctx, cancel := context.WithTimeout(s.mineCtx, s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(s.stopping, s.cfg.RequestTimeout)
 	defer cancel()
 	ctx = budget.With(ctx, s.cfg.Limits)
 	var span *obs.Span
@@ -131,17 +115,6 @@ func (s *Server) mineOnce() mine.RoundStats {
 			slog.Duration("duration", time.Since(start)))
 	}
 	return st
-}
-
-// stopMiner cancels the mining loop (aborting any round in progress)
-// and waits for it to exit. Idempotent; a no-op on daemons without
-// mining.
-func (s *Server) stopMiner() {
-	if s.miner == nil {
-		return
-	}
-	s.mineStopOnce.Do(s.mineCancel)
-	<-s.mineDone
 }
 
 // resolveStatic maps a class fingerprint ("<module-fp>/<Class>") to its

@@ -17,7 +17,7 @@ var (
 
 // job is one unit of pooled work: run computes the response for a
 // coalesced call; deadline is the server-policy execution deadline
-// (set at admission, so time spent queued counts against it).
+// (always set, at admission, so time spent queued counts against it).
 type job struct {
 	run      func(ctx context.Context)
 	expired  func() // invoked instead of run when the deadline passed in the queue
@@ -29,27 +29,22 @@ type job struct {
 // (the caller answers 503) instead of holding the connection hostage.
 type pool struct {
 	jobs chan job
-	wg   sync.WaitGroup
 
-	// sendMu serializes non-blocking channel sends with close: submit
-	// paths hold it shared around their send attempt and close takes it
-	// exclusively before closing the channel, so a send racing a
-	// drain-budget-expired shutdown observes closed and answers 503
-	// instead of panicking. Blocking sends (submitCtx's backpressure
-	// wait) cannot hold a lock across the send — they rely on the
-	// Server-level guarantee instead: every blocking submitter is
-	// registered with Server.addSubmitter and unwound (via drain-expiry
-	// context cancellation) before close is called.
+	// sendMu fences non-blocking sends against close: senders hold it
+	// shared, close exclusively, so a send racing a drain-budget-expired
+	// shutdown observes closed and answers 503 instead of panicking.
+	// Blocking sends cannot hold it across the send; see submitCtx.
 	sendMu sync.RWMutex
 	closed bool
 
-	// baseCtx is the lifetime of the pool, NOT cancelled by drain —
-	// draining means finishing admitted work, so jobs keep their own
-	// deadlines and the base context stays live until Close.
-	baseCtx context.Context
-	cancel  context.CancelFunc
+	// live counts running workers; the last one out closes stopped.
+	// Nothing cancels a running job but its own deadline: draining
+	// means finishing admitted work.
+	live    atomic.Int32
+	stopped chan struct{}
 
-	draining atomic.Bool
+	// draining is the server's drain flag: once set, submit refuses.
+	draining *atomic.Bool
 	met      *metrics
 
 	// hook runs at the start of every job when non-nil (test seam).
@@ -57,47 +52,46 @@ type pool struct {
 }
 
 // newPool starts workers goroutines servicing a queue of depth queue.
-func newPool(workers, queue int, met *metrics, hook func()) *pool {
-	ctx, cancel := context.WithCancel(context.Background())
+func newPool(workers, queue int, met *metrics, draining *atomic.Bool, hook func()) *pool {
 	p := &pool{
-		jobs:    make(chan job, queue),
-		baseCtx: ctx,
-		cancel:  cancel,
-		met:     met,
-		hook:    hook,
+		jobs:     make(chan job, queue),
+		stopped:  make(chan struct{}),
+		draining: draining,
+		met:      met,
+		hook:     hook,
 	}
+	p.live.Store(int32(workers))
 	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
 		go p.worker()
 	}
 	return p
 }
 
+// worker counts a job busy from the moment it leaves the queue, so
+// queue depth plus busy workers counts every admitted, unfinished job.
 func (p *pool) worker() {
-	defer p.wg.Done()
+	defer func() {
+		if p.live.Add(-1) == 0 {
+			close(p.stopped)
+		}
+	}()
 	for j := range p.jobs {
 		p.met.queueDepth.Add(-1)
+		p.met.workersBusy.Add(1)
 		if p.hook != nil {
 			p.hook()
 		}
-		if !j.deadline.IsZero() && time.Now().After(j.deadline) {
+		if time.Now().After(j.deadline) {
 			// The job sat in the queue past its whole budget; answer
 			// 504 without burning a worker on work nobody is awaiting.
 			p.met.timeoutQueue.Add(1)
 			j.expired()
-			continue
-		}
-		ctx := p.baseCtx
-		var cancel context.CancelFunc
-		if !j.deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		}
-		p.met.workersBusy.Add(1)
-		j.run(ctx)
-		p.met.workersBusy.Add(-1)
-		if cancel != nil {
+		} else {
+			ctx, cancel := context.WithDeadline(context.Background(), j.deadline)
+			j.run(ctx)
 			cancel()
 		}
+		p.met.workersBusy.Add(-1)
 	}
 }
 
@@ -139,16 +133,11 @@ func (p *pool) submit(j job) error {
 // submitCtx enqueues a job with backpressure: when the queue is full
 // it blocks until a worker frees a slot or ctx ends, instead of
 // shedding like submit. This is the batch path — a batch was admitted
-// as a whole, so its items stall the stream rather than fail, and the
-// stall propagates to the client as a paused NDJSON stream (TCP
-// backpressure) instead of a retry storm. It deliberately does not
-// check draining: batch items are continuations of already-admitted
-// work. The blocking send is safe against close because every caller
-// is a registered submitter (Server.addSubmitter) whose ctx includes
-// the server's drain context: Shutdown cancels that context when its
-// budget expires and waits for every submitter to return before
-// calling close, so no goroutine can still be parked in this send when
-// the channel closes.
+// as a whole, so its items stall the stream (a paused NDJSON stream,
+// TCP backpressure) rather than fail, and it deliberately does not
+// check draining. The blocking send is safe against close because
+// every caller is a registered submitter (Server.addSubmitter), and
+// Shutdown unwinds them all before it closes the pool.
 func (p *pool) submitCtx(ctx context.Context, j job) error {
 	sent, closed := p.trySend(j)
 	if sent {
@@ -167,18 +156,22 @@ func (p *pool) submitCtx(ctx context.Context, j job) error {
 	}
 }
 
-// drain stops admissions; already-queued and running jobs finish.
-func (p *pool) drain() { p.draining.Store(true) }
-
-// close waits for every admitted job to finish, then stops the
-// workers. Call only after drain and after no goroutine can block in
+// close stops the queue and waits, bounded by ctx, for every admitted
+// job to finish and the workers to exit. Idempotent: a later call only
+// waits. Call only after draining is set and no goroutine can block in
 // submitCtx (see its comment); racing non-blocking submits are fenced
 // off by sendMu.
-func (p *pool) close() {
+func (p *pool) close(ctx context.Context) error {
 	p.sendMu.Lock()
-	p.closed = true
+	if !p.closed {
+		p.closed = true
+		close(p.jobs)
+	}
 	p.sendMu.Unlock()
-	close(p.jobs)
-	p.wg.Wait()
-	p.cancel()
+	select {
+	case <-p.stopped:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

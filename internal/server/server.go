@@ -317,16 +317,24 @@ func (c Config) withDefaults() Config {
 // (any http.Server or test mux) or Start (own listener), stop with
 // Shutdown.
 type Server struct {
-	cfg      Config
-	modules  *moduleCache
-	co       *coalescer
-	pool     *pool
-	met      *metrics
-	mux      *http.ServeMux
-	adm      *admission
-	jobs     *jobStore
-	store    *store.Store // nil when persistence is off
+	cfg     Config
+	modules *moduleCache
+	co      *coalescer
+	pool    *pool
+	met     *metrics
+	mux     *http.ServeMux
+	adm     *admission
+	jobs    *jobStore
+	store   *store.Store // nil when persistence is off
+
+	// draining is the admission gate, set once by Shutdown and read
+	// with one atomic load on every submission. stopping is cancelled
+	// at the same flip: background loops (every) exit on it and parked
+	// watch long-pollers answer 503 on it. loops tracks those loops.
 	draining atomic.Bool
+	stopping context.Context
+	stop     context.CancelFunc
+	loops    sync.WaitGroup
 
 	// submitters tracks every goroutine that may submit pooled work
 	// with blocking backpressure — sync batch handlers and async job
@@ -342,26 +350,16 @@ type Server struct {
 	drainCtx    context.Context
 	drainCancel context.CancelCauseFunc
 
-	// miner and ingestAdm are non-nil iff Config.Mine. The mining loop
-	// runs from New until Shutdown; mineCtx cancels it (and any round in
-	// progress), mineDone confirms it exited, mineStopOnce makes the
-	// stop idempotent.
-	miner        *mine.Miner
-	ingestAdm    *admission
-	mineCtx      context.Context
-	mineCancel   context.CancelFunc
-	mineDone     chan struct{}
-	mineStopOnce sync.Once
+	// miner and ingestAdm are non-nil iff Config.Mine; the mining loop
+	// runs from New until stopping is cancelled, which also aborts any
+	// round in progress.
+	miner     *mine.Miner
+	ingestAdm *admission
 
-	// watch is non-nil iff Config.Watch. watchStop is closed at the
-	// start of Shutdown so parked long-pollers answer 503 immediately
-	// instead of stalling the HTTP drain for a poll window;
-	// watchKeySeq uniquifies push launch keys (watch rounds are
-	// stateful and must never coalesce).
-	watch         *watchStore
-	watchStop     chan struct{}
-	watchStopOnce sync.Once
-	watchKeySeq   atomic.Uint64
+	// watch is non-nil iff Config.Watch. watchKeySeq uniquifies push
+	// launch keys (watch rounds are stateful and must never coalesce).
+	watch       *watchStore
+	watchKeySeq atomic.Uint64
 
 	// tracer is non-nil when Config.Tracing or Config.Telemetry (the
 	// exemplar span trees need spans); ring only with Tracing; logger
@@ -374,21 +372,12 @@ type Server struct {
 	// telemetry loop ticks the engine from New until Shutdown;
 	// latThresh holds the per-endpoint exemplar thresholds derived
 	// from the latency SLOs.
-	engine       *telemetry.Engine
-	traceBuf     *obs.TraceBuffer
-	latThresh    map[string]time.Duration
-	teleCtx      context.Context
-	teleCancel   context.CancelFunc
-	teleDone     chan struct{}
-	teleStopOnce sync.Once
+	engine    *telemetry.Engine
+	traceBuf  *obs.TraceBuffer
+	latThresh map[string]time.Duration
 
 	httpSrv  *http.Server
 	listener net.Listener
-
-	// closeOnce/poolClosed make Shutdown idempotent: the pool closes
-	// exactly once, later calls just wait on poolClosed.
-	closeOnce  sync.Once
-	poolClosed chan struct{}
 }
 
 // New returns a ready (but not yet listening) daemon.
@@ -396,23 +385,22 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	met := newMetrics()
 	s := &Server{
-		cfg:        cfg,
-		modules:    newModuleCache(cfg.MaxModules, met, cfg.Store),
-		co:         newCoalescer(),
-		pool:       newPool(cfg.Workers, cfg.QueueDepth, met, cfg.jobHook),
-		met:        met,
-		mux:        http.NewServeMux(),
-		adm:        newAdmission(cfg.MaxClientItems, cfg.MaxBatchInflight, &met.batchRejected, &met.batchInflightItems),
-		jobs:       newJobStore(cfg.MaxJobs),
-		store:      cfg.Store,
-		poolClosed: make(chan struct{}),
-		logger:     cfg.Logger,
-		watchStop:  make(chan struct{}),
+		cfg:     cfg,
+		modules: newModuleCache(cfg.MaxModules, met, cfg.Store),
+		co:      newCoalescer(),
+		met:     met,
+		mux:     http.NewServeMux(),
+		adm:     newAdmission(cfg.MaxClientItems, cfg.MaxBatchInflight, &met.batchRejected, &met.batchInflightItems),
+		jobs:    newJobStore(cfg.MaxJobs),
+		store:   cfg.Store,
+		logger:  cfg.Logger,
 	}
+	s.pool = newPool(cfg.Workers, cfg.QueueDepth, met, &s.draining, cfg.jobHook)
 	if cfg.Watch {
 		s.watch = newWatchStore(cfg.MaxWatchSessions, &met.watchEvicted, &met.watchSessions)
 	}
 	s.drainCtx, s.drainCancel = context.WithCancelCause(context.Background())
+	s.stopping, s.stop = context.WithCancel(context.Background())
 	var tracerOpts []obs.Option
 	if cfg.Tracing {
 		size := cfg.TraceRingSize
@@ -469,14 +457,14 @@ func New(cfg Config) *Server {
 		}
 		s.miner = mine.NewMiner(mc)
 		s.ingestAdm = newAdmission(cfg.MaxClientEvents, cfg.MaxIngestInflight, &met.ingestRejected, &met.ingestInflightEvents)
-		s.mineCtx, s.mineCancel = context.WithCancel(context.Background())
-		s.mineDone = make(chan struct{})
-		go s.mineLoop()
+		s.every(cfg.MineInterval, func(time.Time) { s.mineOnce() })
 	}
 	if s.engine != nil {
-		s.teleCtx, s.teleCancel = context.WithCancel(context.Background())
-		s.teleDone = make(chan struct{})
-		go s.teleLoop()
+		// Prime at once so /v1/status answers within one interval of
+		// boot instead of two; the loop is the only goroutine the
+		// (passive) engine adds.
+		s.engine.Tick(time.Now())
+		s.every(cfg.TelemetryInterval, s.engine.Tick)
 	}
 	return s
 }
@@ -504,13 +492,9 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.listener = ln
 	s.httpSrv = &http.Server{Handler: s.mux}
-	go func() {
-		if err := s.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			// Serve errors after Shutdown are expected; others surface
-			// through failing requests, which the clients observe.
-			_ = err
-		}
-	}()
+	// Serve errors after Shutdown are expected; others surface
+	// through failing requests, which the clients observe.
+	go s.httpSrv.Serve(ln)
 	return ln.Addr().String(), nil
 }
 
@@ -522,29 +506,30 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// Shutdown drains the daemon: new work is refused (healthz flips
-// unhealthy, submissions answer 503), every admitted request runs to
-// completion and its response is delivered, then workers and listener
-// stop. ctx bounds the wait; on expiry remaining work is abandoned.
-// This is what SIGTERM triggers in cmd/shelleyd.
+// Shutdown drains the daemon. The contract: every admitted request —
+// one accepted into the worker pool queue, a sync batch or async job
+// past admission — runs to completion and its response is delivered.
+// A request that has not reached admission when the drain begins gets
+// a retryable 503 "daemon is draining"; healthz answers 503 too. Then
+// the subsystems stop in order: background loops and parked watch
+// long-pollers, the HTTP server, batch and job submitters, the worker
+// pool, and last the store's write-behind queue. ctx bounds the wait;
+// on expiry remaining work is abandoned and ctx's error returned.
+// Shutdown is idempotent. This is what SIGTERM triggers in
+// cmd/shelleyd.
 func (s *Server) Shutdown(ctx context.Context) error {
 	// The draining flip happens under submitMu so that, once it is
 	// visible, addSubmitter can never admit another submitter — which
 	// is what makes the submitters.Wait below a complete census.
+	// Cancelling stopping at the same flip stops the mining and
+	// telemetry loops (aborting a mining round in progress) and wakes
+	// every parked watch long-poller with a 503: they hold no admitted
+	// work, and without it each would stall the HTTP drain for up to a
+	// full WatchPollTimeout.
 	s.submitMu.Lock()
 	s.draining.Store(true)
+	s.stop()
 	s.submitMu.Unlock()
-	// The mining loop stops first: canceling mineCtx aborts any round in
-	// progress, so its final store Puts are enqueued before the flush at
-	// the end of the drain — a clean shutdown loses no mined verdict.
-	s.stopMiner()
-	s.stopTelemetry()
-	// Wake every parked watch long-poller with a 503 now: they hold no
-	// admitted work, and httpSrv.Shutdown below waits for in-flight
-	// handlers — without this, each poller would stall the drain for up
-	// to a full WatchPollTimeout.
-	s.watchStopOnce.Do(func() { close(s.watchStop) })
-	s.pool.drain()
 	var err error
 	if s.httpSrv != nil {
 		// Waits for in-flight handlers — which wait for their pooled
@@ -559,28 +544,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// what makes the pool close below safe: http.Server.Shutdown never
 	// cancels request contexts, so without this a batch handler could
 	// still be parked in a channel send when the queue closes.
-	submittersDone := make(chan struct{})
-	go func() { s.submitters.Wait(); close(submittersDone) }()
-	select {
-	case <-submittersDone:
-	case <-ctx.Done():
-		s.drainCancel(errDraining)
-		<-submittersDone
-	}
-	// All handlers and job runners have returned (or were canceled):
-	// no submitter is left, so the queue can close and workers join.
-	s.closeOnce.Do(func() {
-		go func() { s.pool.close(); close(s.poolClosed) }()
-	})
-	select {
-	case <-s.poolClosed:
-	case <-ctx.Done():
-		return ctx.Err()
+	unhook := context.AfterFunc(ctx, func() { s.drainCancel(errDraining) })
+	s.submitters.Wait()
+	unhook()
+	// No submitter is left, so the queue can close and workers join.
+	if perr := s.pool.close(ctx); perr != nil {
+		return perr
 	}
 	// The store's write-behind queue is admitted work too: with every
-	// worker stopped no new Puts can arrive, so flushing here (bounded
-	// by the same drain budget) guarantees a clean shutdown loses no
-	// completed artifact. The caller owns the store and closes it.
+	// worker and loop stopped no new Puts can arrive, so flushing here
+	// (bounded by the same drain budget) guarantees a clean shutdown
+	// loses no completed artifact or mined verdict. The caller owns the
+	// store and closes it.
+	s.loops.Wait()
 	if s.store != nil {
 		if ferr := s.store.Flush(ctx); ferr != nil && err == nil {
 			err = ferr
@@ -604,6 +580,13 @@ func (s *Server) addSubmitter() bool {
 	}
 	s.submitters.Add(1)
 	return true
+}
+
+// refuseDraining answers a request that reached no admission before
+// the drain began: a retryable 503.
+func (s *Server) refuseDraining(w http.ResponseWriter) int {
+	w.Header().Set("Retry-After", "2")
+	return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
 }
 
 // reqInfo rides the request context so execute can report back to

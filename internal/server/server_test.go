@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -439,9 +440,40 @@ func TestServerConcurrentClientsRace(t *testing.T) {
 	t.Logf("coalesced=%v moduleHits=%v", coalesced, moduleHits)
 }
 
+// scrapeClient returns a client with a transport of its own, for
+// polling /metrics while the test's other requests are in flight. On a
+// shared transport a finished scrape can hand its connection to a
+// request still dialing, leaving that dial's connection unused — and
+// http.Server.Shutdown waits 5s on a connection that never sent a
+// request.
+func scrapeClient(addr string) *client.Client {
+	return client.New("http://"+addr, client.WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+}
+
+// waitAdmitted polls /metrics until the pool holds at least n admitted
+// jobs: queued plus busy workers (a worker counts a job busy from
+// dequeue, so a job held at the job hook is counted too).
+func waitAdmitted(t *testing.T, cl *client.Client, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		text, err := cl.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued, _ := client.ParseMetric(text, "shelleyd_queue_depth")
+		busy, _ := client.ParseMetric(text, "shelleyd_workers_busy")
+		if queued+busy >= n {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("pool never held %v admitted jobs", n)
+}
+
 // TestServerShutdownDrainsInFlight verifies the drain contract behind
-// SIGTERM: once every request is inside a handler, Shutdown must let
-// all of them complete and deliver correct bodies — none dropped.
+// SIGTERM: once every request is admitted to the pool, Shutdown must
+// let all of them complete and deliver correct bodies — none dropped.
 func TestServerShutdownDrainsInFlight(t *testing.T) {
 	const inFlight = 24
 	release := make(chan struct{})
@@ -479,7 +511,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	// Wait until every request is admitted and held, then drain
 	// mid-traffic: Shutdown starts while all 24 are in flight, the
 	// workers are released only after draining has begun.
-	waitMetric(t, cl, "shelleyd_inflight_requests", inFlight)
+	waitAdmitted(t, scrapeClient(srv.Addr()), inFlight)
 	shutDone := make(chan error, 1)
 	shutCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()

@@ -37,36 +37,6 @@ func telemetryTiers(interval time.Duration) []telemetry.Tier {
 	}
 }
 
-// teleLoop drives the engine clock from New until stopTelemetry. The
-// engine itself is passive — this ticker is the only goroutine the
-// telemetry layer adds.
-func (s *Server) teleLoop() {
-	defer close(s.teleDone)
-	t := time.NewTicker(s.cfg.TelemetryInterval)
-	defer t.Stop()
-	// Prime immediately so /v1/status answers within one interval of
-	// boot instead of two.
-	s.engine.Tick(time.Now())
-	for {
-		select {
-		case <-s.teleCtx.Done():
-			return
-		case now := <-t.C:
-			s.engine.Tick(now)
-		}
-	}
-}
-
-func (s *Server) stopTelemetry() {
-	if s.engine == nil {
-		return
-	}
-	s.teleStopOnce.Do(func() {
-		s.teleCancel()
-		<-s.teleDone
-	})
-}
-
 // mineSnap captures the mining subsystem's counters and reports for
 // the metric families; nil on daemons without -mine.
 func (s *Server) mineSnap() *mineSnapshot {

@@ -35,14 +35,16 @@ type watchSession struct {
 
 	// pubMu guards the published state below. seq is the generation
 	// counter (1 = first push); body the latest round's 200 bytes;
-	// notify is closed and replaced on each publish; gone is closed
-	// when the session is evicted.
+	// evicted is set when the store drops the session.
 	pubMu    sync.Mutex
 	seq      uint64
 	body     []byte
-	notify   chan struct{}
-	gone     chan struct{}
+	evicted  bool
 	lastUsed time.Time
+
+	// changed wakes long-pollers: notified on each publish, ended at
+	// eviction.
+	changed *broadcast
 }
 
 // watchStore tracks the daemon's watch sessions, bounded by
@@ -86,16 +88,15 @@ func (st *watchStore) get(name string, create bool) *watchSession {
 			}
 		}
 		delete(st.sessions, oldest.name)
-		close(oldest.gone)
+		oldest.evict()
 		st.evicted.Add(1)
 		st.live.Add(-1)
 	}
 	ws = &watchSession{
 		name:     name,
 		sess:     shelley.NewSession(),
-		notify:   make(chan struct{}),
-		gone:     make(chan struct{}),
 		lastUsed: time.Now(),
+		changed:  newBroadcast(),
 	}
 	st.sessions[name] = ws
 	st.live.Add(1)
@@ -118,19 +119,29 @@ func (ws *watchSession) lastUsedLocked() time.Time {
 // body, and wakes every parked long-poller.
 func (ws *watchSession) publish(render func(seq uint64) []byte) {
 	ws.pubMu.Lock()
-	defer ws.pubMu.Unlock()
 	ws.seq++
 	ws.body = render(ws.seq)
 	ws.lastUsed = time.Now()
-	close(ws.notify)
-	ws.notify = make(chan struct{})
+	ws.pubMu.Unlock()
+	ws.changed.notify()
 }
 
-// snapshot returns the published state a poller decides on.
-func (ws *watchSession) snapshot() (seq uint64, body []byte, notify <-chan struct{}) {
+// evict marks the session dropped and wakes its pollers for good.
+func (ws *watchSession) evict() {
+	ws.pubMu.Lock()
+	ws.evicted = true
+	ws.pubMu.Unlock()
+	ws.changed.end()
+}
+
+// snapshot returns the published state a poller decides on, and the
+// channel that closes on the next change — taken first, so a change
+// after the read always wakes the poller.
+func (ws *watchSession) snapshot() (seq uint64, body []byte, evicted bool, changed <-chan struct{}) {
+	changed = ws.changed.wait()
 	ws.pubMu.Lock()
 	defer ws.pubMu.Unlock()
-	return ws.seq, ws.body, ws.notify
+	return ws.seq, ws.body, ws.evicted, changed
 }
 
 // wireDiff converts a session diff to its wire form.
@@ -246,19 +257,20 @@ func (s *Server) handleWatchGet(w http.ResponseWriter, r *http.Request) int {
 	timer := time.NewTimer(s.cfg.WatchPollTimeout)
 	defer timer.Stop()
 	for {
-		seq, body, notify := ws.snapshot()
+		seq, body, evicted, changed := ws.snapshot()
 		if seq > after {
 			s.met.watchPushes.Add(1)
 			return s.writeRaw(w, http.StatusOK, body)
 		}
-		select {
-		case <-notify:
-		case <-ws.gone:
+		if evicted {
 			return s.writeError(w, http.StatusNotFound, "watch session "+name+" evicted; POST /v1/watch recreates it")
+		}
+		select {
+		case <-changed:
 		case <-timer.C:
 			w.WriteHeader(http.StatusNoContent)
 			return http.StatusNoContent
-		case <-s.watchStop:
+		case <-s.stopping.Done():
 			return s.writeError(w, http.StatusServiceUnavailable, "daemon is draining")
 		case <-r.Context().Done():
 			s.met.timeoutWait.Add(1)

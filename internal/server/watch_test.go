@@ -238,7 +238,9 @@ func TestWatchDrainReleasesPollers(t *testing.T) {
 			_, errs[i] = cl.Watch(ctx, "s", 1)
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond)
+	// A poller inside its handler answers 503 once the drain begins; one
+	// still connecting would instead meet a closed listener.
+	waitMetric(t, scrapeClient(srv.Addr()), "shelleyd_inflight_requests", 3)
 
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
