@@ -3,6 +3,7 @@ package automata
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/shelley-go/shelley/internal/budget"
@@ -67,7 +68,7 @@ func FuzzDeterminize(f *testing.F) {
 }
 
 // FuzzMinimize: Hopcroft under a budget (cancellation-gated) is total
-// and preserves acceptance of a probe trace.
+// and agrees exactly with the Moore reference refinement.
 func FuzzMinimize(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -91,6 +92,9 @@ func FuzzMinimize(f *testing.F) {
 		}
 		if m.Accepts(nil) != d.Accepts(nil) {
 			t.Fatalf("minimize changed nullability of %q", src)
+		}
+		if want := mooreMinimize(d); !reflect.DeepEqual(m, want) {
+			t.Fatalf("minimize of %q differs from Moore:\ngot  %+v\nwant %+v", src, m, want)
 		}
 	})
 }

@@ -2,164 +2,190 @@ package automata
 
 import (
 	"context"
-	"sort"
 
 	"github.com/shelley-go/shelley/internal/budget"
 )
 
 // Minimize returns the minimal DFA for the language of d, using
-// Hopcroft's partition-refinement algorithm on the completed automaton,
-// then trimming the dead partition back out. The result's states are
-// numbered in BFS order from the start state, so minimization is
-// canonical: two equivalent DFAs minimize to identical automata up to
-// this numbering.
+// Hopcroft's partition refinement (in the array form of Valmari and
+// Lehtinen), then trimming the dead partition back out. Missing
+// transitions go to a virtual dead sink, so the input is never copied
+// to make it total. With n states and k symbols refinement runs in
+// O(k·n log n) time. The result's states are numbered in BFS order from
+// the start state, so minimization is canonical: two equivalent DFAs
+// minimize to identical automata up to this numbering.
 func (d *DFA) Minimize() *DFA {
 	m, _ := d.MinimizeCtx(context.Background())
 	return m
 }
 
 // MinimizeCtx is Minimize with cancellation observed between
-// refinement passes. Minimization is polynomial in an input whose size
-// the construction budgets already bound, so no state budget applies
-// here; the gate only makes an expired deadline stop the worklist.
+// splitters. Minimization is polynomial in an input whose size the
+// construction budgets already bound, so no state budget applies here;
+// the gate only makes an expired deadline stop the worklist.
 func (d *DFA) MinimizeCtx(ctx context.Context) (*DFA, error) {
 	gate := budget.NewGate(ctx, "minimize", "", 0)
-	t := d.Complete()
-	n := t.NumStates()
+	n := d.NumStates()
 	if n == 0 {
 		return d.Clone(), nil
 	}
-
-	// Inverse transition table: for each symbol, for each state, the
-	// states mapping into it.
-	nsym := len(t.alphabet)
-	inv := make([][][]int, nsym)
-	for si := 0; si < nsym; si++ {
-		inv[si] = make([][]int, n)
+	// State n is the virtual dead sink: absent transitions lead there,
+	// and all of its own transitions loop back to it.
+	k := len(d.alphabet)
+	ns := n + 1
+	delta := func(s, si int) int {
+		if s == n {
+			return n
+		}
+		if t := d.trans[s][si]; t >= 0 {
+			return t
+		}
+		return n
 	}
-	for s := 0; s < n; s++ {
-		for si := 0; si < nsym; si++ {
-			to := t.trans[s][si]
-			inv[si][to] = append(inv[si][to], s)
+
+	// Inverse transitions in CSR form: the sources entering state t on
+	// symbol si are src[off[si*ns+t]:off[si*ns+t+1]].
+	off := make([]int, k*ns+1)
+	for s := 0; s < ns; s++ {
+		for si := 0; si < k; si++ {
+			off[si*ns+delta(s, si)+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	src := make([]int, k*ns)
+	fill := append([]int(nil), off[:k*ns]...)
+	for s := 0; s < ns; s++ {
+		for si := 0; si < k; si++ {
+			i := si*ns + delta(s, si)
+			src[fill[i]] = s
+			fill[i]++
 		}
 	}
 
-	// Initial partition: accepting vs non-accepting.
-	partOf := make([]int, n)
-	var accepting, rejecting []int
-	for s := 0; s < n; s++ {
-		if t.accept[s] {
-			accepting = append(accepting, s)
+	// Refinable partition: block b owns elems[first[b]:end[b]], its
+	// first marked[b] entries being the states marked by the current
+	// splitter; loc inverts elems. The initial blocks are the rejecting
+	// states (the sink among them) and the accepting states.
+	elems := make([]int, 0, ns)
+	loc := make([]int, ns)
+	blockOf := make([]int, ns)
+	first := make([]int, 0, ns)
+	end := make([]int, 0, ns)
+	marked := make([]int, ns)
+	for b, accepting := range []bool{false, true} {
+		start := len(elems)
+		for s := 0; s < ns; s++ {
+			if (s < n && d.accept[s]) == accepting {
+				loc[s], blockOf[s] = len(elems), b
+				elems = append(elems, s)
+			}
+		}
+		if len(elems) > start {
+			first = append(first, start)
+			end = append(end, len(elems))
+		}
+	}
+
+	// Worklist of (block, symbol) splitters encoded as block*k+symbol,
+	// with inW tracking membership. Seeding only the smaller initial
+	// block suffices for a total automaton (Hopcroft 1971).
+	inW := make([]bool, ns*k)
+	work := make([]int, 0, k)
+	push := func(b int) {
+		for si := 0; si < k; si++ {
+			inW[b*k+si] = true
+			work = append(work, b*k+si)
+		}
+	}
+	if len(first) == 2 {
+		if end[1]-first[1] < end[0]-first[0] {
+			push(1)
 		} else {
-			rejecting = append(rejecting, s)
-		}
-	}
-	var blocks [][]int
-	addBlock := func(members []int) int {
-		id := len(blocks)
-		blocks = append(blocks, members)
-		for _, s := range members {
-			partOf[s] = id
-		}
-		return id
-	}
-	if len(rejecting) > 0 {
-		addBlock(rejecting)
-	}
-	if len(accepting) > 0 {
-		addBlock(accepting)
-	}
-
-	// Worklist of (block id, symbol) splitters, seeded with every
-	// initial block (see the note on enqueueing both halves below).
-	type splitter struct{ block, sym int }
-	var work []splitter
-	for b := range blocks {
-		for si := 0; si < nsym; si++ {
-			work = append(work, splitter{block: b, sym: si})
+			push(0)
 		}
 	}
 
+	splitter := make([]int, 0, ns)
+	touched := make([]int, 0, ns)
 	for len(work) > 0 {
 		if err := gate.Tick(); err != nil {
 			return nil, err
 		}
-		sp := work[len(work)-1]
+		w := work[len(work)-1]
 		work = work[:len(work)-1]
+		inW[w] = false
+		b, si := w/k, w%k
 
-		// X = states with a transition on sym into the splitter block.
-		inX := make(map[int]struct{})
-		for _, target := range blocks[sp.block] {
-			for _, src := range inv[sp.sym][target] {
-				inX[src] = struct{}{}
-			}
-		}
-		if len(inX) == 0 {
-			continue
-		}
-
-		// Find blocks split by X.
-		touched := make(map[int][]int) // block id -> members in X
-		for s := range inX {
-			b := partOf[s]
-			touched[b] = append(touched[b], s)
-		}
-		blockIDs := make([]int, 0, len(touched))
-		for b := range touched {
-			blockIDs = append(blockIDs, b)
-		}
-		sort.Ints(blockIDs)
-
-		for _, b := range blockIDs {
-			intersection := touched[b]
-			if len(intersection) == len(blocks[b]) {
-				continue // not split
-			}
-			// difference = blocks[b] \ intersection
-			inInter := make(map[int]struct{}, len(intersection))
-			for _, s := range intersection {
-				inInter[s] = struct{}{}
-			}
-			var difference []int
-			for _, s := range blocks[b] {
-				if _, ok := inInter[s]; !ok {
-					difference = append(difference, s)
+		// Snapshot the splitter: marking permutes blocks in place, and
+		// the splitter block may be among those it splits.
+		splitter = append(splitter[:0], elems[first[b]:end[b]]...)
+		for _, t := range splitter {
+			for _, s := range src[off[si*ns+t]:off[si*ns+t+1]] {
+				c := blockOf[s]
+				m := first[c] + marked[c]
+				p := loc[s]
+				if p < m {
+					continue // already marked
 				}
-			}
-			sort.Ints(intersection)
-			blocks[b] = intersection
-			newID := addBlock(difference)
-
-			// Hopcroft's refinement enqueues only the smaller half when
-			// the worklist tracks membership (a pending (B, σ) must be
-			// replaced by both halves). We do not track membership, so
-			// enqueue both halves — still correct, and the blocks are
-			// small enough here that the extra passes are cheap.
-			for si := 0; si < nsym; si++ {
-				work = append(work, splitter{block: b, sym: si})
-				work = append(work, splitter{block: newID, sym: si})
+				if marked[c] == 0 {
+					touched = append(touched, c)
+				}
+				q := elems[m]
+				elems[p], loc[q] = q, p
+				elems[m], loc[s] = s, m
+				marked[c]++
 			}
 		}
+
+		// Split each touched block into its marked and unmarked parts.
+		// The smaller part becomes the new block, so it is the one
+		// relabelled and the one pushed: if (c, σ) is pending, both
+		// halves must be; if not, the smaller half suffices.
+		for _, c := range touched {
+			m := first[c] + marked[c]
+			marked[c] = 0
+			if m == end[c] {
+				continue // every member marked: not split
+			}
+			nb := len(first)
+			if m-first[c] <= end[c]-m {
+				first = append(first, first[c])
+				end = append(end, m)
+				first[c] = m
+			} else {
+				first = append(first, m)
+				end = append(end, end[c])
+				end[c] = m
+			}
+			for _, s := range elems[first[nb]:end[nb]] {
+				blockOf[s] = nb
+			}
+			push(nb)
+		}
+		touched = touched[:0]
 	}
 
-	// Build the quotient automaton.
-	out := NewDFA(t.alphabet)
-	blockState := make([]int, len(blocks))
+	// Build the quotient automaton, numbering blocks in BFS order.
+	out := NewDFA(d.alphabet)
+	blockState := make([]int, len(first))
 	for i := range blockState {
 		blockState[i] = -1
 	}
-	startBlock := partOf[t.start]
+	startBlock := blockOf[d.start]
 	blockState[startBlock] = out.Start()
-	out.SetAccepting(out.Start(), t.accept[t.start])
+	out.SetAccepting(out.Start(), d.accept[d.start])
 	queue := []int{startBlock}
 	for len(queue) > 0 {
 		b := queue[0]
 		queue = queue[1:]
-		rep := blocks[b][0]
-		for si := 0; si < nsym; si++ {
-			tb := partOf[t.trans[rep][si]]
+		rep := elems[first[b]]
+		for si := 0; si < k; si++ {
+			tb := blockOf[delta(rep, si)]
 			if blockState[tb] < 0 {
-				blockState[tb] = out.AddState(t.accept[blocks[tb][0]])
+				r := elems[first[tb]]
+				blockState[tb] = out.AddState(r < n && d.accept[r])
 				queue = append(queue, tb)
 			}
 			out.setTransition(blockState[b], si, blockState[tb])

@@ -109,7 +109,7 @@ func NotOf(x Formula) Formula {
 // AndOf returns the conjunction of xs in normal form.
 func AndOf(xs ...Formula) Formula {
 	seen := make(map[string]struct{})
-	var parts []Formula
+	var parts []keyedFormula
 	var add func(f Formula) bool // returns false on contradiction
 	add = func(f Formula) bool {
 		switch f := f.(type) {
@@ -134,7 +134,7 @@ func AndOf(xs ...Formula) Formula {
 				return false
 			}
 			seen[k] = struct{}{}
-			parts = append(parts, f)
+			parts = append(parts, keyedFormula{k, f})
 			return true
 		}
 	}
@@ -147,16 +147,15 @@ func AndOf(xs ...Formula) Formula {
 	case 0:
 		return Tru{}
 	case 1:
-		return parts[0]
+		return parts[0].f
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
-	return And{Xs: parts}
+	return And{Xs: sortByKey(parts)}
 }
 
 // OrOf returns the disjunction of xs in normal form.
 func OrOf(xs ...Formula) Formula {
 	seen := make(map[string]struct{})
-	var parts []Formula
+	var parts []keyedFormula
 	var add func(f Formula) bool // returns false on tautology
 	add = func(f Formula) bool {
 		switch f := f.(type) {
@@ -180,7 +179,7 @@ func OrOf(xs ...Formula) Formula {
 				return false
 			}
 			seen[k] = struct{}{}
-			parts = append(parts, f)
+			parts = append(parts, keyedFormula{k, f})
 			return true
 		}
 	}
@@ -193,10 +192,27 @@ func OrOf(xs ...Formula) Formula {
 	case 0:
 		return Fls{}
 	case 1:
-		return parts[0]
+		return parts[0].f
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
-	return Or{Xs: parts}
+	return Or{Xs: sortByKey(parts)}
+}
+
+// keyedFormula is a normal-form operand stored with its key, so sorting
+// compares the keys computed once for dedup instead of rebuilding them
+// per comparison.
+type keyedFormula struct {
+	key string
+	f   Formula
+}
+
+// sortByKey returns the operands in key order.
+func sortByKey(parts []keyedFormula) []Formula {
+	sort.Slice(parts, func(i, j int) bool { return parts[i].key < parts[j].key })
+	out := make([]Formula, len(parts))
+	for i, p := range parts {
+		out[i] = p.f
+	}
+	return out
 }
 
 // ImpliesOf returns l -> r.

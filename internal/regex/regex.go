@@ -136,7 +136,13 @@ func Concat(rs ...Regex) Regex {
 // Union() is ∅ and Union(r) is r.
 func Union(rs ...Regex) Regex {
 	seen := make(map[string]struct{}, len(rs))
-	parts := make([]Regex, 0, len(rs))
+	// Each summand is stored with its key, so sorting compares the keys
+	// computed once for dedup instead of rebuilding them per comparison.
+	type keyed struct {
+		key string
+		r   Regex
+	}
+	parts := make([]keyed, 0, len(rs))
 	var add func(r Regex)
 	add = func(r Regex) {
 		switch r := r.(type) {
@@ -152,7 +158,7 @@ func Union(rs ...Regex) Regex {
 				return
 			}
 			seen[k] = struct{}{}
-			parts = append(parts, r)
+			parts = append(parts, keyed{k, r})
 		}
 	}
 	for _, r := range rs {
@@ -162,10 +168,14 @@ func Union(rs ...Regex) Regex {
 	case 0:
 		return emptySet
 	case 1:
-		return parts[0]
+		return parts[0].r
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].key() < parts[j].key() })
-	return Alt{Parts: parts}
+	sort.Slice(parts, func(i, j int) bool { return parts[i].key < parts[j].key })
+	out := make([]Regex, len(parts))
+	for i, p := range parts {
+		out[i] = p.r
+	}
+	return Alt{Parts: out}
 }
 
 // Star returns r* in normal form: ∅* = ε* = ε and (r*)* = r*.

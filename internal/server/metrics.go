@@ -166,11 +166,14 @@ type metrics struct {
 	// POST /v1/watch pushes); watchPushes counts long-poll deliveries
 	// (one per poller woken with a round); watchEvicted counts sessions
 	// dropped LRU to respect MaxWatchSessions; watchSessions is the
-	// live session gauge.
+	// live session gauge; watchPollers counts long-pollers parked on a
+	// session (counted after their lookup touched the session's LRU
+	// position).
 	watchUpdates  atomic.Uint64
 	watchPushes   atomic.Uint64
 	watchEvicted  atomic.Uint64
 	watchSessions atomic.Int64
+	watchPollers  atomic.Int64
 
 	// incrementalReused counts classes answered from a watch session's
 	// warm cache across all rounds; incrementalChecked counts classes
@@ -322,6 +325,7 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	counter("shelleyd_incremental_reports_reused_total", "Classes answered from a watch session's warm cache instead of re-verifying.", m.incrementalReused.Load())
 	counter("shelleyd_incremental_classes_checked_total", "Classes actually re-verified across watch rounds.", m.incrementalChecked.Load())
 	gauge("shelleyd_watch_sessions", "Resident watch sessions.", m.watchSessions.Load())
+	gauge("shelleyd_watch_pollers", "Long-pollers parked on a watch session (GET /v1/watch).", m.watchPollers.Load())
 	gauge("shelleyd_batch_inflight_items", "Admission charge held (sync batches by item count, jobs by pool occupancy).", m.batchInflightItems.Load())
 	gauge("shelleyd_jobs_active", "Async jobs still running.", m.jobsActive.Load())
 	gauge("shelleyd_queue_depth", "Jobs waiting for a worker.", m.queueDepth.Load())

@@ -294,10 +294,16 @@ func TestServerSaturationAndQueueTimeout(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]error, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); _, results[0] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "slow")}) }()
+	go func() {
+		defer wg.Done()
+		_, results[0] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "slow")})
+	}()
 	<-entered // the worker now holds job 1; the queue is empty
 	wg.Add(1)
-	go func() { defer wg.Done(); _, results[1] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "fill")}) }()
+	go func() {
+		defer wg.Done()
+		_, results[1] = cl.Check(ctx, client.CheckRequest{Source: syntheticSource(4, "fill")})
+	}()
 	waitMetric(t, cl, "shelleyd_queue_depth", 1) // job 2 fills the only slot
 
 	_, err := cl.Check(ctx, client.CheckRequest{Source: syntheticSource(3, "extra")})

@@ -256,6 +256,7 @@ func (s *Server) handleWatchGet(w http.ResponseWriter, r *http.Request) int {
 	}
 	timer := time.NewTimer(s.cfg.WatchPollTimeout)
 	defer timer.Stop()
+	parked := false
 	for {
 		seq, body, evicted, changed := ws.snapshot()
 		if seq > after {
@@ -264,6 +265,14 @@ func (s *Server) handleWatchGet(w http.ResponseWriter, r *http.Request) int {
 		}
 		if evicted {
 			return s.writeError(w, http.StatusNotFound, "watch session "+name+" evicted; POST /v1/watch recreates it")
+		}
+		if !parked {
+			// The lookup above touched the session's LRU position and
+			// the snapshot found nothing to deliver: from here a publish
+			// or an eviction is what wakes this poller.
+			parked = true
+			s.met.watchPollers.Add(1)
+			defer s.met.watchPollers.Add(-1)
 		}
 		select {
 		case <-changed:

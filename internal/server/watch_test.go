@@ -58,7 +58,7 @@ func TestWatchDisabledAnswers404(t *testing.T) {
 // only the edited class and reuses the other's report.
 func TestWatchEditLoop(t *testing.T) {
 	t.Parallel()
-	_, cl := startServer(t, Config{Workers: 2, Watch: true})
+	srv, cl := startServer(t, Config{Workers: 2, Watch: true})
 	ctx := context.Background()
 
 	first, err := cl.WatchPush(ctx, client.WatchRequest{Session: "edit", Source: watchSource("op0")})
@@ -86,7 +86,7 @@ func TestWatchEditLoop(t *testing.T) {
 	}()
 	// The poller must be parked (not answered) before the push, or the
 	// test only exercises the fast path.
-	time.Sleep(20 * time.Millisecond)
+	waitMetric(t, scrapeClient(srv.Addr()), "shelleyd_watch_pollers", 1)
 
 	second, err := cl.WatchPush(ctx, client.WatchRequest{Session: "edit", Source: watchSource("op1")})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestWatchPollWindowAndErrors(t *testing.T) {
 // pollers with 404.
 func TestWatchEviction(t *testing.T) {
 	t.Parallel()
-	_, cl := startServer(t, Config{Workers: 2, Watch: true, MaxWatchSessions: 2})
+	srv, cl := startServer(t, Config{Workers: 2, Watch: true, MaxWatchSessions: 2})
 	ctx := context.Background()
 
 	for _, name := range []string{"a", "b"} {
@@ -196,7 +196,9 @@ func TestWatchEviction(t *testing.T) {
 		_, err := cl.Watch(ctx, "a", 1)
 		pollDone <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// The poller's lookup touched "a"; wait for it to park so that
+	// touch lands before the test's own.
+	waitMetric(t, scrapeClient(srv.Addr()), "shelleyd_watch_pollers", 1)
 	// Touch "a" is NOT done here: "a" is oldest only if "b" was used
 	// later, so refresh "b" then create "c".
 	if _, err := cl.Watch(ctx, "b", 0); err != nil {
