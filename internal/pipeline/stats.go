@@ -178,6 +178,28 @@ func (s Stats) Sub(prev Stats) Stats {
 	return out
 }
 
+// Add returns the per-stage sum s + o of every counter, the build time
+// and the histogram. A stage missing from one side counts as zero, so
+// the zero Stats is the identity. The daemon uses it to total the
+// caches of many modules and sessions.
+func (s Stats) Add(o Stats) Stats {
+	out := Stats{Stages: make([]StageStats, max(len(s.Stages), len(o.Stages)))}
+	copy(out.Stages, s.Stages)
+	for i, st := range o.Stages {
+		d := &out.Stages[i]
+		d.Stage = st.Stage
+		d.Hits += st.Hits
+		d.Misses += st.Misses
+		d.Entries += st.Entries
+		d.PersistHits += st.PersistHits
+		d.BuildTime += st.BuildTime
+		for b := range d.Buckets {
+			d.Buckets[b] += st.Buckets[b]
+		}
+	}
+	return out
+}
+
 // TotalHits sums hits over every stage.
 func (s Stats) TotalHits() uint64 {
 	var n uint64

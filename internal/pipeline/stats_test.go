@@ -65,3 +65,31 @@ func TestBucketBoundMatchesIndex(t *testing.T) {
 		t.Errorf("BucketLabels() has %d entries, want %d", len(BucketLabels()), NumBuckets)
 	}
 }
+
+// TestStatsAdd pins Add as a per-stage sum whose identity is the zero
+// Stats, with stage names taken from whichever side has them.
+func TestStatsAdd(t *testing.T) {
+	a := (*Cache)(nil).Stats()
+	a.Stages[0].Hits, a.Stages[0].Buckets[1], a.Stages[2].BuildTime = 3, 1, time.Millisecond
+	b := (*Cache)(nil).Stats()
+	b.Stages[0].Hits, b.Stages[0].Misses, b.Stages[1].PersistHits, b.Stages[1].Entries = 4, 2, 5, 6
+
+	sum := a.Add(b)
+	if got := sum.Stages[0]; got.Hits != 7 || got.Misses != 2 || got.Buckets[1] != 1 {
+		t.Errorf("stage 0 sum = %+v", got)
+	}
+	if got := sum.Stages[1]; got.PersistHits != 5 || got.Entries != 6 {
+		t.Errorf("stage 1 sum = %+v", got)
+	}
+	if sum.Stages[2].BuildTime != time.Millisecond {
+		t.Errorf("build time sum = %v", sum.Stages[2].BuildTime)
+	}
+	if a.Stages[0].Hits != 3 {
+		t.Error("Add mutated its receiver")
+	}
+	for _, z := range []Stats{(Stats{}).Add(a), a.Add(Stats{})} {
+		if len(z.Stages) != len(a.Stages) || z.Stages[0] != a.Stages[0] || z.Stages[2].Stage != a.Stages[2].Stage {
+			t.Errorf("zero Stats is not the identity: %+v", z.Stages)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"sync"
 
@@ -11,15 +12,17 @@ import (
 	"github.com/shelley-go/shelley/internal/store"
 )
 
-// call is one coalesced execution: the first request for a key becomes
-// the leader and computes; identical in-flight requests become
-// followers and share the leader's byte-exact response. done is closed
-// once status/body are final.
+// call is one execution of a request key: the first request for the key
+// becomes the leader and computes; identical requests arriving while it
+// runs become followers and share the leader's byte-exact response. done
+// is closed once status/body are final.
 type call struct {
 	done   chan struct{}
 	status int
 	body   []byte
 }
+
+func newCall() *call { return &call{done: make(chan struct{})} }
 
 // resolve publishes the result and releases every follower. Safe to
 // call once only.
@@ -29,40 +32,53 @@ func (c *call) resolve(status int, body []byte) {
 	close(c.done)
 }
 
-// coalescer collapses identical in-flight requests by key (endpoint +
-// module fingerprint + canonical parameters). Unlike the pipeline
-// cache it remembers nothing: entries exist only while a request is in
-// flight, so it is a concurrency dedup layer on top of the PR 1
-// memoization, not a second cache.
-type coalescer struct {
-	mu       sync.Mutex
-	inflight map[string]*call
+// callTable is a resident module's calls by request key (checkKey, plus
+// the infer and trace keys). Checking is deterministic and keys are
+// content-addressed, so a check call that settles with 200 stays in the
+// table as the memo for every later repeat. Any other outcome — non-200,
+// an infer or trace call, a panic, a queue expiry, a refused submission
+// — leaves the table before done closes, so no later request can latch
+// onto a failure. What stays is bounded by two check keys (precise or
+// not) per class plus two for the whole module: unknown classes are
+// refused before a call is made.
+type callTable struct {
+	calls sync.Map // key → *call
 }
 
-func newCoalescer() *coalescer {
-	return &coalescer{inflight: make(map[string]*call)}
-}
-
-// get returns the in-flight call for key, creating it (leader=true)
-// when none exists. The leader must eventually resolve the call and
-// then forget the key.
-func (co *coalescer) get(key string) (c *call, leader bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if c, ok := co.inflight[key]; ok {
-		return c, false
+// join returns key's call, creating it when absent. The creator is the
+// leader and must settle the call. Followers allocate nothing.
+func (t *callTable) join(key string) (c *call, leader bool) {
+	if v, ok := t.calls.Load(key); ok {
+		return v.(*call), false
 	}
-	c = &call{done: make(chan struct{})}
-	co.inflight[key] = c
-	return c, true
+	v, loaded := t.calls.LoadOrStore(key, newCall())
+	return v.(*call), !loaded
 }
 
-// forget removes a resolved call so later identical requests execute
-// fresh (and hit the pipeline cache instead).
-func (co *coalescer) forget(key string) {
-	co.mu.Lock()
-	delete(co.inflight, key)
-	co.mu.Unlock()
+// memo returns the settled 200 body for key, lock-free and never
+// waiting. It tests the status too: a call loaded here just before it
+// settled non-200 is seen closed though settle already removed it.
+func (t *callTable) memo(key string) ([]byte, bool) {
+	v, ok := t.calls.Load(key)
+	if !ok {
+		return nil, false
+	}
+	c := v.(*call)
+	select {
+	case <-c.done:
+		return c.body, c.status == http.StatusOK
+	default:
+		return nil, false
+	}
+}
+
+// settle publishes the leader's result. A 200 with keep stays as key's
+// memo entry; anything else is removed first, then released.
+func (t *callTable) settle(key string, c *call, keep bool, status int, body []byte) {
+	if !keep || status != http.StatusOK {
+		t.calls.CompareAndDelete(key, c)
+	}
+	c.resolve(status, body)
 }
 
 // errNotResident distinguishes "fingerprint unknown" (404) from load
@@ -70,20 +86,26 @@ func (co *coalescer) forget(key string) {
 var errNotResident = errors.New("server: module not resident")
 
 // moduleEntry is one resident module with its own singleflight cell,
-// so concurrent first requests for the same source parse it once.
+// so concurrent first requests for the same source parse it once, and
+// its call table, which eviction drops with it.
 type moduleEntry struct {
 	ready chan struct{}
 	mod   *shelley.Module
 	err   error
+	calls callTable
+}
 
-	// bodies memoizes settled 200 response bodies by check key. A
-	// module is content-addressed and immutable, so a verified response
-	// for (fingerprint, class, precise) can never change — warm repeats
-	// are served from here without a pool round-trip. Only successes
-	// are stored: errors (budget, timeout, panic) must recompute, per
-	// the PR 5 rule that transient failures are never made sticky. The
-	// map's lifetime is the entry's, so module eviction reclaims it.
-	bodies sync.Map // check key → []byte
+// loaded returns the module once it has loaded successfully; nil while
+// it loads or after a failed load. It never blocks.
+func (e *moduleEntry) loaded() *shelley.Module {
+	select {
+	case <-e.ready:
+		if e.err == nil {
+			return e.mod
+		}
+	default:
+	}
+	return nil
 }
 
 // moduleCache keeps loaded modules (and their warm pipeline caches)
@@ -97,6 +119,10 @@ type moduleCache struct {
 	max     int
 	met     *metrics
 
+	// retired holds the pipeline counters of evicted modules, folded in
+	// at eviction, so the scrape total never decreases.
+	retired pipeline.Stats
+
 	// store, when non-nil, is attached to every freshly loaded module's
 	// report stage (Module.PersistReports): whole-class reports then
 	// read through and write behind the durable artifact store, which is
@@ -106,15 +132,21 @@ type moduleCache struct {
 }
 
 func newModuleCache(max int, met *metrics, st *store.Store) *moduleCache {
-	return &moduleCache{entries: make(map[string]*moduleEntry), max: max, met: met, store: st}
+	return &moduleCache{
+		entries: make(map[string]*moduleEntry),
+		max:     max,
+		met:     met,
+		retired: (*pipeline.Cache)(nil).Stats(),
+		store:   st,
+	}
 }
 
-// get returns the resident module for fp, loading it from source on
-// first use. An empty source is a cache-only lookup and fails with
+// get returns the resident module entry for fp, loading it from source
+// on first use. An empty source is a cache-only lookup and fails with
 // errNotResident when the module is not in memory. Load errors are NOT
 // made resident: a bad source answers 422 but does not occupy a slot,
 // and a corrected re-upload under a new fingerprint loads fresh.
-func (mc *moduleCache) get(ctx context.Context, fp, source string) (*shelley.Module, error) {
+func (mc *moduleCache) get(ctx context.Context, fp, source string) (*moduleEntry, error) {
 	mc.mu.Lock()
 	if e, ok := mc.entries[fp]; ok {
 		mc.mu.Unlock()
@@ -127,7 +159,7 @@ func (mc *moduleCache) get(ctx context.Context, fp, source string) (*shelley.Mod
 			return nil, e.err
 		}
 		mc.met.moduleHits.Add(1)
-		return e.mod, nil
+		return e, nil
 	}
 	if source == "" {
 		mc.mu.Unlock()
@@ -152,13 +184,14 @@ func (mc *moduleCache) get(ctx context.Context, fp, source string) (*shelley.Mod
 		mc.mu.Unlock()
 		return nil, e.err
 	}
-	return e.mod, nil
+	return e, nil
 }
 
 // evictLocked drops arbitrary settled entries (never keep, the entry
 // just inserted) until the cache respects max. Eviction order is map
 // order — effectively random — which is cheap and good enough for a
 // content-addressed cache whose entries are all equally rebuildable.
+// A follower holding one of the call table's calls is still resolved.
 func (mc *moduleCache) evictLocked(keep string) {
 	if mc.max <= 0 {
 		return
@@ -174,6 +207,9 @@ func (mc *moduleCache) evictLocked(keep string) {
 		case <-e.ready:
 			delete(mc.entries, fp)
 			mc.met.moduleEvictions.Add(1)
+			if e.err == nil {
+				mc.retired = mc.retired.Add(e.mod.PipelineStats())
+			}
 		default:
 			// Still loading; a follower may be blocked on ready.
 		}
@@ -181,83 +217,38 @@ func (mc *moduleCache) evictLocked(keep string) {
 }
 
 // settled returns fp's entry when it is resident and loaded, else nil.
-// It never blocks on a loading entry — body-cache lookups are an
+// It never blocks on a loading entry — memo lookups are an
 // opportunistic fast path, not a synchronization point.
 func (mc *moduleCache) settled(fp string) *moduleEntry {
 	mc.mu.Lock()
 	e := mc.entries[fp]
 	mc.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	select {
-	case <-e.ready:
-	default:
-		return nil
-	}
-	if e.err != nil {
+	if e == nil || e.loaded() == nil {
 		return nil
 	}
 	return e
 }
 
-// cachedBody returns the memoized 200 body for key on a settled
-// resident module.
-func (mc *moduleCache) cachedBody(fp, key string) ([]byte, bool) {
-	e := mc.settled(fp)
-	if e == nil {
-		return nil, false
-	}
-	v, ok := e.bodies.Load(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]byte), true
-}
-
-// storeBody memoizes a settled 200 body for key. A no-op when the
-// module was evicted while its check ran — the body dies with it.
-func (mc *moduleCache) storeBody(fp, key string, body []byte) {
+// memo returns the memoized 200 body for key on fp's settled resident
+// module: the first layer of the check path.
+func (mc *moduleCache) memo(fp, key string) ([]byte, bool) {
 	if e := mc.settled(fp); e != nil {
-		e.bodies.Store(key, body)
+		return e.calls.memo(key)
 	}
+	return nil, false
 }
 
-// stats sums the pipeline-cache counters of every resident module.
-func (mc *moduleCache) stats() shelley.PipelineStats {
+// stats totals the pipeline counters of every module this cache ever
+// loaded: the retired ones plus every resident one. It reads under the
+// lock that eviction folds under, so the total never decreases.
+func (mc *moduleCache) stats() pipeline.Stats {
 	mc.mu.Lock()
-	mods := make([]*shelley.Module, 0, len(mc.entries))
+	defer mc.mu.Unlock()
+	agg := mc.retired
 	for _, e := range mc.entries {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				mods = append(mods, e.mod)
-			}
-		default:
+		if m := e.loaded(); m != nil {
+			agg = agg.Add(m.PipelineStats())
 		}
-	}
-	mc.mu.Unlock()
-
-	var agg shelley.PipelineStats
-	for _, m := range mods {
-		s := m.PipelineStats()
-		if agg.Stages == nil {
-			agg = s
-			continue
-		}
-		for i := range agg.Stages {
-			agg.Stages[i].Hits += s.Stages[i].Hits
-			agg.Stages[i].Misses += s.Stages[i].Misses
-			agg.Stages[i].Entries += s.Stages[i].Entries
-			agg.Stages[i].PersistHits += s.Stages[i].PersistHits
-			agg.Stages[i].BuildTime += s.Stages[i].BuildTime
-			for b := range agg.Stages[i].Buckets {
-				agg.Stages[i].Buckets[b] += s.Stages[i].Buckets[b]
-			}
-		}
-	}
-	if agg.Stages == nil {
-		agg = (*pipeline.Cache)(nil).Stats()
 	}
 	return agg
 }

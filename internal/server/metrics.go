@@ -29,10 +29,10 @@ type endpointMetrics struct {
 	codes [500]atomic.Uint64
 
 	// lat is the request wall-time histogram in the fine telemetry
-	// bucketing (16 buckets/decade, 1µs..10s). The /metrics exposition
-	// rolls it up losslessly to the coarse pipeline-stats bounds via
-	// telemetry.RollupIndex.
-	lat [telemetry.NumLatBuckets]atomic.Uint64
+	// bucketing (16 buckets/decade, 1µs..10s); latNanos is the sum of
+	// the observed wall times, the histogram's _sum.
+	lat      [telemetry.NumLatBuckets]atomic.Uint64
+	latNanos atomic.Int64
 
 	// total counts finished requests; errors the 5xx subset.
 	total  atomic.Uint64
@@ -49,6 +49,7 @@ func (ep *endpointMetrics) observe(code int, elapsed time.Duration) {
 	}
 	ep.codes[i].Add(1)
 	ep.lat[telemetry.BucketIndex(elapsed)].Add(1)
+	ep.latNanos.Add(int64(elapsed))
 	ep.total.Add(1)
 	if code >= 500 {
 		ep.errors.Add(1)
@@ -228,13 +229,16 @@ func (m *metrics) endpointsSorted() []*endpointMetrics {
 // order so scrapes are byte-stable.
 type labelPair struct{ k, v string }
 
+// metricSample is one exposition line; suffix extends the family name
+// for the _bucket/_sum/_count lines of a histogram.
 type metricSample struct {
+	suffix string
 	labels []labelPair
 	value  float64
 }
 
 type metricFamily struct {
-	name, help, kind string // kind is "counter" or "gauge"
+	name, help, kind string // kind is "counter", "gauge" or "histogram"
 	samples          []metricSample
 }
 
@@ -268,27 +272,30 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	}
 	fams = append(fams, reqFam)
 
+	// The le bounds are the fine buckets' decade anchors 1µs..10s, each
+	// an exact fine bound, so the cumulative counts lose nothing.
 	durFam := metricFamily{
-		name: "shelleyd_request_duration_bucket", kind: "counter",
-		help: "Request wall time (pipeline-stats bucketing; le is the inclusive upper bound, +Inf the overflow bucket).",
+		name: "shelleyd_request_duration", kind: "histogram",
+		help: "Request wall time in seconds.",
 	}
 	for _, ep := range eps {
-		var coarse [pipeline.NumBuckets]uint64
-		for i := range ep.lat {
-			coarse[telemetry.RollupIndex(i)] += ep.lat[i].Load()
-		}
 		var cum uint64
-		for i := 0; i < pipeline.NumBuckets; i++ {
-			cum += coarse[i]
+		for i := range ep.lat {
+			cum += ep.lat[i].Load()
 			le := "+Inf"
-			if bound := pipeline.BucketBound(i); bound >= 0 {
-				le = bound.String()
+			if i < len(ep.lat)-1 {
+				if i%telemetry.BucketsPerDecade != 0 {
+					continue
+				}
+				le = strconv.FormatFloat(telemetry.BucketBound(i).Seconds(), 'g', -1, 64)
 			}
-			durFam.samples = append(durFam.samples, metricSample{
-				labels: []labelPair{{"endpoint", ep.name}, {"le", le}},
-				value:  float64(cum),
-			})
+			durFam.samples = append(durFam.samples, metricSample{suffix: "_bucket",
+				labels: []labelPair{{"endpoint", ep.name}, {"le", le}}, value: float64(cum)})
 		}
+		labels := []labelPair{{"endpoint", ep.name}}
+		durFam.samples = append(durFam.samples,
+			metricSample{suffix: "_sum", labels: labels, value: time.Duration(ep.latNanos.Load()).Seconds()},
+			metricSample{suffix: "_count", labels: labels, value: float64(cum)})
 	}
 	fams = append(fams, durFam)
 
@@ -403,8 +410,8 @@ func (m *metrics) families(ps pipeline.Stats, st *store.Store, ms *mineSnapshot)
 	return fams
 }
 
-// render writes the exposition. pipelineStats aggregates the caches of
-// every resident module, so cache behavior inside the daemon is
+// render writes the exposition. pipelineStats totals the caches of
+// every module and watch session, so cache behavior inside the daemon is
 // scrapeable without a side channel; st (nil when persistence is off)
 // contributes the shelleyd_store_* family; ms (nil without -mine) the
 // mining families.
@@ -413,6 +420,7 @@ func (m *metrics) render(b *strings.Builder, pipelineStats pipeline.Stats, st *s
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		for _, s := range f.samples {
 			b.WriteString(f.name)
+			b.WriteString(s.suffix)
 			writeLabels(b, s.labels)
 			b.WriteByte(' ')
 			b.WriteString(formatMetricValue(s.value))
@@ -460,7 +468,7 @@ func (m *metrics) sample(ps pipeline.Stats, st *store.Store, ms *mineSnapshot) t
 	for _, f := range m.families(ps, st, ms) {
 		// The request/duration families are carried by Hists below at
 		// full resolution; skipping them here avoids duplicate series.
-		if f.name == "shelleyd_requests_total" || f.name == "shelleyd_request_duration_bucket" {
+		if f.name == "shelleyd_requests_total" || f.name == "shelleyd_request_duration" {
 			continue
 		}
 		for _, s := range f.samples {

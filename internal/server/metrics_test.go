@@ -1,16 +1,21 @@
 package server
 
 import (
+	"bufio"
+	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/shelley-go/shelley/client"
 	"github.com/shelley-go/shelley/internal/mine"
 	"github.com/shelley-go/shelley/internal/pipeline"
-	"github.com/shelley-go/shelley/internal/telemetry"
 )
 
 // goldenMetrics builds a registry with a deterministic, hand-placed set
@@ -147,24 +152,34 @@ func TestMetricsPromlint(t *testing.T) {
 		}
 		switch f.kind {
 		case "counter":
-			// Counters end _total; the one exception is the cumulative
-			// histogram-bucket family, which follows the Prometheus
-			// _bucket{le=...} convention instead.
-			if !strings.HasSuffix(f.name, "_total") && !strings.HasSuffix(f.name, "_bucket") {
-				t.Errorf("counter %s: name must end _total (or _bucket for cumulative histograms)", f.name)
+			if !strings.HasSuffix(f.name, "_total") {
+				t.Errorf("counter %s: name must end _total", f.name)
 			}
 		case "gauge":
 			if strings.HasSuffix(f.name, "_total") {
 				t.Errorf("gauge %s: _total suffix is reserved for counters", f.name)
 			}
+		case "histogram":
+			// The base name carries no suffix; its samples add
+			// _bucket{le=...}, _sum and _count.
+			if strings.HasSuffix(f.name, "_total") || strings.HasSuffix(f.name, "_bucket") {
+				t.Errorf("histogram %s: base name must not carry a sample suffix", f.name)
+			}
 		default:
 			t.Errorf("family %s: unknown kind %q", f.name, f.kind)
 		}
 
-		// Every sample in a family must carry the same label keys in the
-		// same order — that is what makes scrapes byte-stable.
-		var keys []string
-		for i, s := range f.samples {
+		// Every sample of a family (of a histogram: every sample with the
+		// same suffix) must carry the same label keys in the same order —
+		// that is what makes scrapes byte-stable.
+		keysBySuffix := make(map[string][]string)
+		for _, s := range f.samples {
+			switch {
+			case f.kind == "histogram" && s.suffix != "_bucket" && s.suffix != "_sum" && s.suffix != "_count":
+				t.Errorf("histogram %s: sample suffix %q", f.name, s.suffix)
+			case f.kind != "histogram" && s.suffix != "":
+				t.Errorf("%s %s: sample suffix %q outside a histogram", f.kind, f.name, s.suffix)
+			}
 			var sk []string
 			for _, l := range s.labels {
 				if !metricNameRe.MatchString(l.k) {
@@ -175,8 +190,9 @@ func TestMetricsPromlint(t *testing.T) {
 				}
 				sk = append(sk, l.k)
 			}
-			if i == 0 {
-				keys = sk
+			keys, seen := keysBySuffix[s.suffix]
+			if !seen {
+				keysBySuffix[s.suffix] = sk
 				continue
 			}
 			if strings.Join(sk, ",") != strings.Join(keys, ",") {
@@ -211,12 +227,172 @@ func TestMetricsPromlint(t *testing.T) {
 		if j := strings.IndexAny(line, "{ "); j >= 0 {
 			name = line[:j]
 		}
-		if name != current {
+		if name != current && name != current+"_bucket" && name != current+"_sum" && name != current+"_count" {
 			t.Errorf("line %d: sample %s outside its family block (current %s)", i+1, name, current)
 		}
-		if !introduced[name] {
+		if !introduced[current] {
 			t.Errorf("line %d: sample for %s before its HELP/TYPE", i+1, name)
 		}
+	}
+}
+
+// checkExposition parses a text exposition with the standard library
+// alone and checks what a Prometheus server relies on: every family has
+// HELP and TYPE lines before its samples, every sample belongs to a
+// declared family, and each histogram series has non-decreasing buckets
+// in ascending le order ending at +Inf, which equals its _count, plus a
+// _sum.
+func checkExposition(text string) error {
+	type series struct {
+		les      []float64
+		counts   []float64
+		sum, cnt float64
+		hasSum   bool
+		hasCount bool
+	}
+	help := make(map[string]bool)
+	kind := make(map[string]string)
+	hists := make(map[string]*series) // family + labels without le
+	sc := bufio.NewScanner(strings.NewReader(text))
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			help[name] = true
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, k, _ := strings.Cut(rest, " ")
+			if !help[name] {
+				return fmt.Errorf("line %d: TYPE %s before its HELP", n, name)
+			}
+			kind[name] = k
+			continue
+		}
+		nameAndLabels, raw, ok := strings.Cut(line, " ")
+		if !ok {
+			return fmt.Errorf("line %d: no value: %q", n, line)
+		}
+		v, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return fmt.Errorf("line %d: value %q: %v", n, raw, err)
+		}
+		name, labels, _ := strings.Cut(nameAndLabels, "{")
+		labels = strings.TrimSuffix(labels, "}")
+		if _, ok := kind[name]; ok {
+			if strings.Contains(labels, "le=") {
+				return fmt.Errorf("line %d: le label outside a histogram bucket: %s", n, line)
+			}
+			continue
+		}
+		var base, suffix string
+		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, sfx); ok && kind[b] == "histogram" {
+				base, suffix = b, sfx
+			}
+		}
+		if base == "" {
+			return fmt.Errorf("line %d: sample %s has no HELP/TYPE family", n, name)
+		}
+		var le string
+		var rest []string
+		for _, l := range strings.Split(labels, ",") {
+			if val, ok := strings.CutPrefix(l, "le="); ok {
+				le = strings.Trim(val, `"`)
+			} else if l != "" {
+				rest = append(rest, l)
+			}
+		}
+		key := base + "{" + strings.Join(rest, ",") + "}"
+		h := hists[key]
+		if h == nil {
+			h = &series{}
+			hists[key] = h
+		}
+		switch suffix {
+		case "_bucket":
+			bound := math.Inf(1)
+			if le != "+Inf" {
+				if bound, err = strconv.ParseFloat(le, 64); err != nil {
+					return fmt.Errorf("line %d: le %q: %v", n, le, err)
+				}
+			}
+			if k := len(h.les); k > 0 && (bound <= h.les[k-1] || v < h.counts[k-1]) {
+				return fmt.Errorf("line %d: %s bucket le=%s=%v after le=%v=%v", n, key, le, v, h.les[k-1], h.counts[k-1])
+			}
+			h.les, h.counts = append(h.les, bound), append(h.counts, v)
+		case "_sum":
+			h.sum, h.hasSum = v, true
+		case "_count":
+			h.cnt, h.hasCount = v, true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	for name, k := range kind {
+		if k != "counter" && k != "gauge" && k != "histogram" {
+			return fmt.Errorf("family %s: unknown type %q", name, k)
+		}
+	}
+	for key, h := range hists {
+		k := len(h.les)
+		switch {
+		case k == 0 || !math.IsInf(h.les[k-1], 1):
+			return fmt.Errorf("%s: no +Inf bucket", key)
+		case !h.hasSum || !h.hasCount:
+			return fmt.Errorf("%s: missing _sum or _count", key)
+		case h.counts[k-1] != h.cnt:
+			return fmt.Errorf("%s: +Inf bucket %v != _count %v", key, h.counts[k-1], h.cnt)
+		}
+	}
+	return nil
+}
+
+// TestMetricsExpositionParses runs the stdlib exposition checker over
+// broken expositions it must refuse, the fixed golden registry, and a
+// live daemon's /metrics after real traffic.
+func TestMetricsExpositionParses(t *testing.T) {
+	const head = "# HELP h_seconds H.\n# TYPE h_seconds histogram\n"
+	for name, bad := range map[string]string{
+		"no TYPE":           "# HELP c_total C.\nc_total 1\n",
+		"le on a counter":   "# HELP c_total C.\n# TYPE c_total counter\nc_total{le=\"1\"} 1\n",
+		"falling bucket":    head + "h_seconds_bucket{le=\"1\"} 2\nh_seconds_bucket{le=\"+Inf\"} 1\nh_seconds_sum 1\nh_seconds_count 1\n",
+		"+Inf is not count": head + "h_seconds_bucket{le=\"+Inf\"} 2\nh_seconds_sum 1\nh_seconds_count 3\n",
+		"no _sum":           head + "h_seconds_bucket{le=\"+Inf\"} 2\nh_seconds_count 2\n",
+	} {
+		if checkExposition(bad) == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	m, ps, ms := goldenMetrics()
+	var b strings.Builder
+	m.render(&b, ps, nil, ms)
+	if err := checkExposition(b.String()); err != nil {
+		t.Errorf("golden registry: %v", err)
+	}
+
+	_, cl := startServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	src := readTestdata(t, "valve.py")
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Check(ctx, client.CheckRequest{Source: src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Check(ctx, client.CheckRequest{}); err == nil {
+		t.Fatal("empty check succeeded")
+	}
+	text, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkExposition(text); err != nil {
+		t.Errorf("live /metrics: %v", err)
+	}
+	if v, ok := client.ParseMetric(text, `shelleyd_request_duration_count{endpoint="check"}`); !ok || v != 4 {
+		t.Errorf("check _count = %v (present=%v), want 4", v, ok)
 	}
 }
 
@@ -254,14 +430,18 @@ func TestMetricsSampleMatchesFamilies(t *testing.T) {
 	if s.Hists["trace"].Total != 2 {
 		t.Errorf("trace hist total = %d, want 2", s.Hists["trace"].Total)
 	}
-	// The fine histogram must roll up to the same coarse counts the
-	// exposition's _bucket family renders.
-	var coarse [pipeline.NumBuckets]uint64
-	for i, n := range h.Buckets {
-		coarse[telemetry.RollupIndex(i)] += n
-	}
-	if coarse[pipeline.NumBuckets-1] != 2 { // the 2s and 15s observes, both >100ms
-		t.Errorf("overflow coarse bucket = %d, want 2", coarse[pipeline.NumBuckets-1])
+	// The exposition reads its cumulative buckets off the same fine
+	// histogram: five check observes are at most 100ms, the 2s and 15s
+	// ones land above, and +Inf counts all seven.
+	var b strings.Builder
+	m.render(&b, ps, nil, ms)
+	for _, line := range []string{
+		`shelleyd_request_duration_bucket{endpoint="check",le="0.1"} 5` + "\n",
+		`shelleyd_request_duration_bucket{endpoint="check",le="+Inf"} 7` + "\n",
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }
 

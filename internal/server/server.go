@@ -42,6 +42,7 @@ import (
 	"github.com/shelley-go/shelley/internal/check"
 	"github.com/shelley-go/shelley/internal/mine"
 	"github.com/shelley-go/shelley/internal/obs"
+	"github.com/shelley-go/shelley/internal/pipeline"
 	"github.com/shelley-go/shelley/internal/store"
 	"github.com/shelley-go/shelley/internal/telemetry"
 )
@@ -319,7 +320,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	modules *moduleCache
-	co      *coalescer
 	pool    *pool
 	met     *metrics
 	mux     *http.ServeMux
@@ -356,10 +356,8 @@ type Server struct {
 	miner     *mine.Miner
 	ingestAdm *admission
 
-	// watch is non-nil iff Config.Watch. watchKeySeq uniquifies push
-	// launch keys (watch rounds are stateful and must never coalesce).
-	watch       *watchStore
-	watchKeySeq atomic.Uint64
+	// watch is non-nil iff Config.Watch.
+	watch *watchStore
 
 	// tracer is non-nil when Config.Tracing or Config.Telemetry (the
 	// exemplar span trees need spans); ring only with Tracing; logger
@@ -387,7 +385,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		modules: newModuleCache(cfg.MaxModules, met, cfg.Store),
-		co:      newCoalescer(),
 		met:     met,
 		mux:     http.NewServeMux(),
 		adm:     newAdmission(cfg.MaxClientItems, cfg.MaxBatchInflight, &met.batchRejected, &met.batchInflightItems),
@@ -419,7 +416,7 @@ func New(cfg Config) *Server {
 			Tiers:     telemetryTiers(cfg.TelemetryInterval),
 			SLOs:      cfg.SLOs,
 			Exemplars: cfg.Exemplars,
-			Source:    func() telemetry.Sample { return s.met.sample(s.modules.stats(), s.store, s.mineSnap()) },
+			Source:    func() telemetry.Sample { return s.met.sample(s.pipelineStats(), s.store, s.mineSnap()) },
 		})
 		s.latThresh = make(map[string]time.Duration)
 		for _, slo := range cfg.SLOs {
@@ -649,12 +646,7 @@ func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *ht
 // the shelleyd_response_write_errors_total counter is the audit trail
 // that it happened.
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(client.ErrorResponse{Error: msg}); err != nil {
-		s.met.writeErrors.Add(1)
-	}
-	return status
+	return s.writeRaw(w, status, refusal(msg))
 }
 
 // writeRaw replays a coalesced call's byte-exact response. Write
@@ -668,49 +660,71 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) int {
 	return status
 }
 
-// resolveModule turns a request's (source, fingerprint) pair into a
-// resident module, computing the fingerprint server-side when only
-// source is given. Error mapping: empty request 400, unknown
-// fingerprint 404, unloadable source 422.
-func (s *Server) resolveModule(w http.ResponseWriter, r *http.Request, source, fp string) (*shelley.Module, string, int) {
-	if source == "" && fp == "" {
-		return nil, "", s.writeError(w, http.StatusBadRequest, "request needs source or fingerprint")
-	}
-	if source != "" {
-		computed := client.Fingerprint(source)
-		if fp != "" && fp != computed {
-			return nil, "", s.writeError(w, http.StatusBadRequest, "fingerprint does not match source")
-		}
-		fp = computed
-	}
-	mod, err := s.modules.get(r.Context(), fp, source)
+// fingerprint validates a request's (source, fingerprint) pair and
+// hashes the source, once per request. A refusal comes back as a status
+// and its body: 400 for neither or a mismatch, 413 for a source past the
+// per-source limit (reachable only in a batch, whose body is larger).
+func (s *Server) fingerprint(source, fp string) (string, int, []byte) {
 	switch {
-	case errors.Is(err, errNotResident):
-		return nil, "", s.writeError(w, http.StatusNotFound, "module "+fp+" not resident; re-POST its source")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.met.timeoutWait.Add(1)
-		return nil, "", s.writeError(w, http.StatusGatewayTimeout, "module load wait: "+err.Error())
-	case err != nil:
-		return nil, "", s.writeError(w, http.StatusUnprocessableEntity, err.Error())
+	case source == "" && fp == "":
+		return "", http.StatusBadRequest, refusal("item needs source or fingerprint")
+	case source == "":
+		return fp, 0, nil
+	case int64(len(source)) > s.cfg.MaxSourceBytes:
+		return "", http.StatusRequestEntityTooLarge, refusal("item source exceeds the per-source byte limit")
 	}
-	return mod, fp, 0
+	computed := client.Fingerprint(source)
+	if fp != "" && fp != computed {
+		return "", http.StatusBadRequest, refusal("fingerprint does not match source")
+	}
+	return computed, 0, nil
 }
 
-// launch routes fn through coalescing and the worker pool, returning
-// the call whose done channel publishes the shared byte-exact
-// response. key must canonically encode the endpoint and every request
-// parameter that affects the response — single-shot and batch requests
-// use the same keys, so a batch item coalesces with an identical
-// in-flight /v1/check and vice versa. block selects the submission
-// discipline: single-shot requests shed load (a full queue resolves
-// 503 immediately), batch items exert backpressure (the submission
-// blocks until a worker frees a slot or rctx ends).
-func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ctx context.Context) (int, []byte)) (c *call, coalesced bool) {
-	c, leader := s.co.get(key)
-	if !leader {
-		s.met.coalesced.Add(1)
-		return c, true
+// resolve returns fp's module entry, loading it from source when needed,
+// and checks that a named class exists. A refusal comes back as a status
+// and its body: 404 for an unknown fingerprint or class, 422 for an
+// unloadable source. err is non-nil only when ctx ended first.
+func (s *Server) resolve(ctx context.Context, fp, source, class string) (*moduleEntry, int, []byte, error) {
+	e, err := s.modules.get(ctx, fp, source)
+	switch {
+	case errors.Is(err, errNotResident):
+		return nil, http.StatusNotFound, refusal("module " + fp + " not resident; re-POST its source"), nil
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.met.timeoutWait.Add(1)
+		return nil, 0, nil, err
+	case err != nil:
+		return nil, http.StatusUnprocessableEntity, refusal(err.Error()), nil
 	}
+	if class != "" {
+		if _, ok := e.mod.Class(class); !ok {
+			return nil, http.StatusNotFound, refusal("class " + class + " not found"), nil
+		}
+	}
+	return e, 0, nil, nil
+}
+
+// resolveModule is fingerprint and resolve for an infer or trace
+// request, writing any refusal as the response.
+func (s *Server) resolveModule(w http.ResponseWriter, r *http.Request, source, fp, class string) (*moduleEntry, string, int) {
+	fp, status, body := s.fingerprint(source, fp)
+	var e *moduleEntry
+	var err error
+	if status == 0 {
+		e, status, body, err = s.resolve(r.Context(), fp, source, class)
+	}
+	if err == nil && status == 0 {
+		return e, fp, 0
+	}
+	return nil, "", s.reply(w, status, body, err)
+}
+
+// launch submits fn to the worker pool and hands settle exactly one
+// result: fn's own, a 500 when fn panics, a 504 when the job expires in
+// the queue, or a 503 when submission is refused. block selects the
+// submission discipline: single-shot requests shed load (a full queue
+// answers 503 at once), batch items exert backpressure (the submission
+// blocks until a worker frees a slot or rctx ends).
+func (s *Server) launch(rctx context.Context, block bool, fn func(ctx context.Context) (int, []byte), settle func(status int, body []byte)) {
 	// Pooled jobs run under the pool's deadline context, not the
 	// request's; the carrier re-attaches the leader's tracer and
 	// root span so the work still nests under the request trace.
@@ -719,18 +733,13 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 		deadline: time.Now().Add(s.cfg.RequestTimeout),
 		run: func(ctx context.Context) {
 			// A panic anywhere in the verification pipeline must not
-			// kill the daemon or strand the coalesced waiters: it is
-			// contained here, counted, and answered as a 500. The
-			// coalescer entry is forgotten first so a retry of the
-			// same key computes fresh instead of waiting forever.
+			// kill the daemon or strand the waiters: it is contained
+			// here, counted, and answered as a 500.
 			defer func() {
 				if rec := recover(); rec != nil {
 					s.met.panics.Add(1)
-					s.co.forget(key)
-					body, _ := json.Marshal(client.ErrorResponse{
-						Error: fmt.Sprintf("internal error: verification panicked: %v", rec),
-					})
-					c.resolve(http.StatusInternalServerError, body)
+					settle(errorBody(http.StatusInternalServerError,
+						fmt.Sprintf("internal error: verification panicked: %v", rec)))
 				}
 			}()
 			if s.cfg.runHook != nil {
@@ -738,15 +747,9 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 			}
 			// Every pooled job runs under the configured resource
 			// budget; pipeline constructions read it from the context.
-			status, body := fn(budget.With(carrier.Context(ctx), s.cfg.Limits))
-			s.co.forget(key)
-			c.resolve(status, body)
+			settle(fn(budget.With(carrier.Context(ctx), s.cfg.Limits)))
 		},
-		expired: func() {
-			s.co.forget(key)
-			body, _ := json.Marshal(client.ErrorResponse{Error: "request expired in queue"})
-			c.resolve(http.StatusGatewayTimeout, body)
-		},
+		expired: func() { settle(errorBody(http.StatusGatewayTimeout, "request expired in queue")) },
 	}
 	var err error
 	if block {
@@ -755,7 +758,6 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 		err = s.pool.submit(j)
 	}
 	if err != nil {
-		s.co.forget(key)
 		msg := "queue saturated; retry later"
 		switch {
 		case errors.Is(err, errDraining):
@@ -763,30 +765,61 @@ func (s *Server) launch(rctx context.Context, key string, block bool, fn func(ct
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			msg = "request ended before submission: " + err.Error()
 		}
-		body, _ := json.Marshal(client.ErrorResponse{Error: msg})
-		c.resolve(http.StatusServiceUnavailable, body)
+		settle(errorBody(http.StatusServiceUnavailable, msg))
 	}
+}
+
+// do runs key on table t: the first request for the key leads and
+// launches fn, identical requests in flight follow it. memo keeps a
+// settled 200 as key's memo entry (check calls only).
+func (s *Server) do(rctx context.Context, t *callTable, key string, memo, block bool, fn func(ctx context.Context) (int, []byte)) (c *call, coalesced bool) {
+	c, leader := t.join(key)
+	if !leader {
+		s.met.coalesced.Add(1)
+		return c, true
+	}
+	s.launch(rctx, block, fn, func(status int, body []byte) { t.settle(key, c, memo, status, body) })
 	return c, false
 }
 
-// execute is the single-shot request path over launch: wait for the
-// shared response and replay it to this waiter.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, key string, fn func(ctx context.Context) (int, []byte)) int {
-	c, coalesced := s.launch(r.Context(), key, false, fn)
-	if coalesced {
-		if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-			info.coalesced.Store(true)
-		}
+// markCoalesced tells instrument that this request was answered by
+// another request's execution (the access log's coalesced flag).
+func markCoalesced(ctx context.Context) {
+	if info, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
+		info.coalesced.Store(true)
 	}
+}
+
+// wait returns c's response once it settles, or ctx's error when this
+// waiter's own context ends first; the call continues for the others.
+func (s *Server) wait(ctx context.Context, c *call) (int, []byte, error) {
 	select {
 	case <-c.done:
-		return s.writeRaw(w, c.status, c.body)
-	case <-r.Context().Done():
-		// This waiter's client went away (or its own deadline passed);
-		// the shared computation continues for the others.
+		return c.status, c.body, nil
+	case <-ctx.Done():
 		s.met.timeoutWait.Add(1)
-		return s.writeError(w, http.StatusGatewayTimeout, "request context ended: "+r.Context().Err().Error())
+		return 0, nil, ctx.Err()
 	}
+}
+
+// reply writes a response, or the 504 of a waiter whose own context
+// ended first (err non-nil).
+func (s *Server) reply(w http.ResponseWriter, status int, body []byte, err error) int {
+	if err != nil {
+		return s.writeError(w, http.StatusGatewayTimeout, "request context ended: "+err.Error())
+	}
+	return s.writeRaw(w, status, body)
+}
+
+// execute is the infer and trace path: a call on the module's table,
+// never memoized, shedding on a full queue.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, e *moduleEntry, key string, fn func(ctx context.Context) (int, []byte)) int {
+	c, coalesced := s.do(r.Context(), &e.calls, key, false, false, fn)
+	if coalesced {
+		markCoalesced(r.Context())
+	}
+	status, body, err := s.wait(r.Context(), c)
+	return s.reply(w, status, body, err)
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) int {
@@ -794,70 +827,62 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) int {
 	if err := decodeBody(w, r, s.cfg.MaxSourceBytes, &req); err != nil {
 		return s.writeError(w, http.StatusBadRequest, err.Error())
 	}
-	// The fingerprint is computable without loading anything, and both
-	// body fast paths key on it — so they run before module resolution,
-	// which is what lets a freshly restarted daemon answer a
-	// fingerprint-only check from the durable store without the module
-	// being resident (or its source being re-POSTed) at all.
-	if req.Source == "" && req.Fingerprint == "" {
-		return s.writeError(w, http.StatusBadRequest, "request needs source or fingerprint")
+	status, body, coalesced, err := s.check(r.Context(), req, false)
+	if coalesced {
+		markCoalesced(r.Context())
 	}
-	fp := req.Fingerprint
-	if req.Source != "" {
-		computed := client.Fingerprint(req.Source)
-		if fp != "" && fp != computed {
-			return s.writeError(w, http.StatusBadRequest, "fingerprint does not match source")
-		}
-		fp = computed
+	return s.reply(w, status, body, err)
+}
+
+// check is the one check path of /v1/check and every batch item. After
+// validation it answers from the first layer that can: the resident
+// module's memo, the store's persisted body, or a call on the module's
+// table. The body layers need only the fingerprint, so a restarted
+// daemon answers a fingerprint-only check from the store without the
+// module resident; serving them before the class-existence check is
+// sound because only answers of 200 are memoized or persisted.
+//
+// It returns the response /v1/check writes and a batch record embeds,
+// and whether it was coalesced. err is non-nil only when ctx ended
+// first. block is the submission discipline (see launch).
+func (s *Server) check(ctx context.Context, req client.CheckRequest, block bool) (status int, body []byte, coalesced bool, err error) {
+	fp, status, body := s.fingerprint(req.Source, req.Fingerprint)
+	if status != 0 {
+		return status, body, false, nil
 	}
 	key := checkKey(fp, req.Class, req.Precise)
-	if body, ok := s.modules.cachedBody(fp, key); ok {
-		// A memoized success is byte-identical to the pooled path's
-		// response (it IS that path's bytes) and needs no scheduling,
-		// budget, or coalescing — answer in the handler goroutine.
-		// Serving before the class-existence check is sound: bodies are
-		// stored only for requests that answered 200, which proves the
-		// class existed in this exact (content-addressed) source.
+	if body, ok := s.modules.memo(fp, key); ok {
 		s.met.bodyCacheHits.Add(1)
-		return s.writeRaw(w, http.StatusOK, body)
+		return http.StatusOK, body, false, nil
 	}
-	if body, ok := s.storeBody(key); ok {
-		// Same contract one layer down: a persisted 200 body for this
-		// content-addressed key is the prior process's exact bytes.
-		// Re-memoize it in memory (when the module is resident) so the
-		// next repeat skips the disk too.
-		s.met.storeBodyHits.Add(1)
-		s.modules.storeBody(fp, key, body)
-		return s.writeRaw(w, http.StatusOK, body)
-	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
-		return errCode
-	}
-	if req.Class != "" {
-		if _, ok := mod.Class(req.Class); !ok {
-			return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
+	if s.store != nil {
+		if body, ok := s.store.Get(storeBodyKey(key)); ok {
+			// Memoize it on the module when resident, so the next
+			// repeat skips the disk too.
+			s.met.storeBodyHits.Add(1)
+			if e := s.modules.settled(fp); e != nil {
+				if c, leader := e.calls.join(key); leader {
+					e.calls.settle(key, c, true, http.StatusOK, body)
+				}
+			}
+			return http.StatusOK, body, false, nil
 		}
 	}
-	return s.execute(w, r, key, s.checkFn(mod, fp, req.Class, req.Precise))
+	e, status, body, err := s.resolve(ctx, fp, req.Source, req.Class)
+	if err != nil || status != 0 {
+		return status, body, false, err
+	}
+	c, coalesced := s.do(ctx, &e.calls, key, true, block, s.checkFn(e.mod, fp, req.Class, req.Precise))
+	status, body, err = s.wait(ctx, c)
+	return status, body, coalesced, err
 }
 
 // storeBodyKey namespaces persisted response bodies apart from the
 // persisted pipeline artifacts sharing the durable store.
 func storeBodyKey(key string) string { return "body\x00" + key }
 
-// storeBody consults the durable store for a persisted 200 response
-// body. Always a miss without a store.
-func (s *Server) storeBody(key string) ([]byte, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	return s.store.Get(storeBodyKey(key))
-}
-
-// checkKey is the canonical coalescing key of a check: shared by
-// /v1/check and every batch item, so identical work in flight anywhere
-// collapses to one execution.
+// checkKey is the call-table key of a check, the same for /v1/check and
+// every batch item, so identical work collapses to one call per module.
 func checkKey(fp, class string, precise bool) string {
 	return strings.Join([]string{"check", fp, class, fmt.Sprint(precise)}, "\x00")
 }
@@ -893,16 +918,11 @@ func (s *Server) checkFn(mod *shelley.Module, fp, class string, precise bool) fu
 			ok = ok && rep.OK()
 		}
 		status, body := jsonBody(client.CheckResponse{Fingerprint: fp, OK: ok, Reports: reports})
-		if status == http.StatusOK {
-			// Memoize the settled success so warm repeats skip the pool
-			// entirely (see moduleEntry.bodies), and write it behind the
-			// durable store so the next process boots warm. Errors never
-			// stick in either layer.
-			key := checkKey(fp, class, precise)
-			s.modules.storeBody(fp, key, body)
-			if s.store != nil {
-				s.store.Put(storeBodyKey(key), body)
-			}
+		if status == http.StatusOK && s.store != nil {
+			// Write the success behind the durable store so the next
+			// process boots warm (the call table memoizes it in memory).
+			// Errors never stick in either layer.
+			s.store.Put(storeBodyKey(checkKey(fp, class, precise)), body)
 		}
 		return status, body
 	}
@@ -948,16 +968,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) int {
 	if req.Class == "" {
 		return s.writeError(w, http.StatusBadRequest, "infer needs a class")
 	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
+	e, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint, req.Class)
+	if e == nil {
 		return errCode
 	}
-	cls, ok := mod.Class(req.Class)
-	if !ok {
-		return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
-	}
+	cls, _ := e.mod.Class(req.Class)
 	key := strings.Join([]string{"infer", fp, req.Class, req.Operation}, "\x00")
-	return s.execute(w, r, key, func(ctx context.Context) (int, []byte) {
+	return s.execute(w, r, e, key, func(ctx context.Context) (int, []byte) {
 		ops := cls.Operations()
 		if req.Operation != "" {
 			ops = []string{req.Operation}
@@ -991,16 +1008,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) int {
 	if req.Class == "" {
 		return s.writeError(w, http.StatusBadRequest, "trace needs a class")
 	}
-	mod, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint)
-	if mod == nil {
+	e, fp, errCode := s.resolveModule(w, r, req.Source, req.Fingerprint, req.Class)
+	if e == nil {
 		return errCode
 	}
-	cls, ok := mod.Class(req.Class)
-	if !ok {
-		return s.writeError(w, http.StatusNotFound, "class "+req.Class+" not found")
-	}
+	cls, _ := e.mod.Class(req.Class)
 	key := strings.Join([]string{"trace", fp, req.Class, fmt.Sprint(req.Replay), strings.Join(req.Trace, "\x01")}, "\x00")
-	return s.execute(w, r, key, func(ctx context.Context) (int, []byte) {
+	return s.execute(w, r, e, key, func(ctx context.Context) (int, []byte) {
 		resp := client.TraceResponse{
 			Fingerprint: fp,
 			Class:       req.Class,
@@ -1095,9 +1109,20 @@ func (s *Server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// pipelineStats totals the pipeline caches of every module and watch
+// session the daemon has held, resident or evicted: the source of the
+// monotonic shelleyd_pipeline_stage_total counter.
+func (s *Server) pipelineStats() pipeline.Stats {
+	ps := s.modules.stats()
+	if s.watch != nil {
+		ps = ps.Add(s.watch.stats())
+	}
+	return ps
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.met.render(&b, s.modules.stats(), s.store, s.mineSnap())
+	s.met.render(&b, s.pipelineStats(), s.store, s.mineSnap())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String())
 }
@@ -1124,4 +1149,11 @@ func jsonBody(v any) (int, []byte) {
 func errorBody(status int, msg string) (int, []byte) {
 	body, _ := json.Marshal(client.ErrorResponse{Error: msg})
 	return status, body
+}
+
+// refusal is the body of an error answered before any pooled work: the
+// newline-terminated line a json.Encoder writes.
+func refusal(msg string) []byte {
+	_, body := errorBody(0, msg)
+	return append(body, '\n')
 }

@@ -540,26 +540,147 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestCoalescerUnit pins the leader/follower mechanics without HTTP.
-func TestCoalescerUnit(t *testing.T) {
-	co := newCoalescer()
-	c1, leader1 := co.get("k")
-	if !leader1 {
-		t.Fatal("first get must lead")
+// TestCallTableCoalescesAndMemoizes pins the call table without HTTP:
+// leader and follower share one call, a check that settles 200 stays as
+// the memo, and every other outcome — a non-200, an unmemoized (infer or
+// trace) call, a panic, a queue expiry, a refused submission — leaves
+// the table before its waiters are released. Eviction drops a module's
+// table, while a follower already holding a call is still resolved.
+func TestCallTableCoalescesAndMemoizes(t *testing.T) {
+	// requeued asserts the key is gone from the table at the moment
+	// c's waiters wake: a request arriving then must lead afresh.
+	requeued := func(t *testing.T, tab *callTable, key string, c *call) {
+		t.Helper()
+		<-c.done
+		if _, ok := tab.memo(key); ok {
+			t.Errorf("%s: settled %d answered from the memo", key, c.status)
+		}
+		next, leader := tab.join(key)
+		if !leader || next == c {
+			t.Errorf("%s: a request after release latched onto the settled %d", key, c.status)
+			return
+		}
+		tab.settle(key, next, false, http.StatusOK, nil)
 	}
-	c2, leader2 := co.get("k")
-	if leader2 || c1 != c2 {
-		t.Fatal("second get must follow the same call")
-	}
-	co.forget("k")
-	c1.resolve(200, []byte("x"))
-	<-c2.done
-	if c2.status != 200 || string(c2.body) != "x" {
-		t.Fatalf("follower saw %d %q", c2.status, c2.body)
-	}
-	if _, leader3 := co.get("k"); !leader3 {
-		t.Fatal("after forget, the key must lead again")
-	}
+
+	t.Run("leader, follower and memo", func(t *testing.T) {
+		var tab callTable
+		c1, leader1 := tab.join("k")
+		c2, leader2 := tab.join("k")
+		if !leader1 || leader2 || c1 != c2 {
+			t.Fatal("the first join must lead and the second follow the same call")
+		}
+		if _, ok := tab.memo("k"); ok {
+			t.Fatal("an in-flight call answered from the memo")
+		}
+		tab.settle("k", c1, true, http.StatusOK, []byte("x"))
+		<-c2.done
+		if c2.status != http.StatusOK || string(c2.body) != "x" {
+			t.Fatalf("follower saw %d %q", c2.status, c2.body)
+		}
+		if body, ok := tab.memo("k"); !ok || string(body) != "x" {
+			t.Fatalf("settled 200 not memoized: %q %v", body, ok)
+		}
+		if c3, leader3 := tab.join("k"); leader3 || c3 != c1 {
+			t.Fatal("a repeat after a memoized 200 must reuse the settled call")
+		}
+	})
+
+	t.Run("non-200 and unmemoized calls leave before release", func(t *testing.T) {
+		var tab callTable
+		for _, tc := range []struct {
+			key    string
+			keep   bool
+			status int
+		}{
+			{"check-422", true, http.StatusUnprocessableEntity},
+			{"infer-200", false, http.StatusOK},
+		} {
+			c, _ := tab.join(tc.key)
+			follower, _ := tab.join(tc.key)
+			woke := make(chan struct{})
+			go func() {
+				defer close(woke)
+				requeued(t, &tab, tc.key, follower)
+			}()
+			tab.settle(tc.key, c, tc.keep, tc.status, []byte("{}"))
+			<-woke
+		}
+	})
+
+	t.Run("a failure settled under a memo read is a miss", func(t *testing.T) {
+		// memo loads the call, then settle removes it and closes done
+		// before memo tests done: freeze that interleaving by closing a
+		// non-200 call still in the table.
+		var tab callTable
+		for _, status := range []int{http.StatusUnprocessableEntity, http.StatusServiceUnavailable} {
+			key := fmt.Sprint("check-", status)
+			c, _ := tab.join(key)
+			c.resolve(status, []byte(`{"error":"x"}`))
+			if body, ok := tab.memo(key); ok {
+				t.Errorf("%d answered from the memo: %q", status, body)
+			}
+		}
+	})
+
+	t.Run("panic, expiry and refusal leave the table", func(t *testing.T) {
+		ok := func(ctx context.Context) (int, []byte) { return jsonBody("ok") }
+		ctx := context.Background()
+		for _, tc := range []struct {
+			name   string
+			cfg    Config
+			drain  bool
+			status int
+		}{
+			{"panic", Config{Workers: 1, runHook: func() { panic("injected") }}, false, http.StatusInternalServerError},
+			// The hook holds every job past its whole 1ms budget.
+			{"expiry", Config{Workers: 1, RequestTimeout: time.Millisecond,
+				jobHook: func() { time.Sleep(20 * time.Millisecond) }}, false, http.StatusGatewayTimeout},
+			{"refusal", Config{Workers: 1}, true, http.StatusServiceUnavailable},
+		} {
+			srv := New(tc.cfg)
+			srv.draining.Store(tc.drain)
+			var tab callTable
+			c, _ := srv.do(ctx, &tab, tc.name, true, false, ok)
+			requeued(t, &tab, tc.name, c)
+			if c.status != tc.status {
+				t.Errorf("%s: call answered %d, want %d", tc.name, c.status, tc.status)
+			}
+			srv.Shutdown(ctx)
+		}
+	})
+
+	t.Run("eviction drops the table", func(t *testing.T) {
+		mc := newModuleCache(1, newMetrics(), nil)
+		ctx := context.Background()
+		srcA, srcB := syntheticSource(1, "tabA"), syntheticSource(1, "tabB")
+		fpA := client.Fingerprint(srcA)
+		a, err := mc.get(ctx, fpA, srcA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo, _ := a.calls.join("memo")
+		a.calls.settle("memo", memo, true, http.StatusOK, []byte("x"))
+		leader, _ := a.calls.join("inflight")
+		follower, _ := a.calls.join("inflight")
+		if _, err := mc.get(ctx, client.Fingerprint(srcB), srcB); err != nil {
+			t.Fatal(err)
+		}
+		if mc.settled(fpA) != nil {
+			t.Fatal("module A still resident past MaxModules 1")
+		}
+		a.calls.settle("inflight", leader, true, http.StatusOK, []byte("late"))
+		<-follower.done
+		if string(follower.body) != "late" {
+			t.Fatalf("follower of an evicted module's call saw %q", follower.body)
+		}
+		if _, err := mc.get(ctx, fpA, srcA); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := mc.memo(fpA, "memo"); ok {
+			t.Fatal("a reloaded module kept its evicted table's memo")
+		}
+	})
 }
 
 // TestModuleCacheEviction keeps residency bounded.

@@ -11,6 +11,7 @@ import (
 	shelley "github.com/shelley-go/shelley"
 	"github.com/shelley-go/shelley/client"
 	"github.com/shelley-go/shelley/internal/check"
+	"github.com/shelley-go/shelley/internal/pipeline"
 )
 
 // The watch subsystem is the daemon face of shelley.Session: named,
@@ -57,6 +58,10 @@ type watchStore struct {
 	sessions map[string]*watchSession
 	evicted  *atomic.Uint64
 	live     *atomic.Int64
+
+	// retired holds the pipeline counters of evicted sessions, folded in
+	// at eviction, so the scrape total never decreases.
+	retired pipeline.Stats
 }
 
 func newWatchStore(max int, evicted *atomic.Uint64, live *atomic.Int64) *watchStore {
@@ -88,6 +93,7 @@ func (st *watchStore) get(name string, create bool) *watchSession {
 			}
 		}
 		delete(st.sessions, oldest.name)
+		st.retired = st.retired.Add(oldest.sess.PipelineStats())
 		oldest.evict()
 		st.evicted.Add(1)
 		st.live.Add(-1)
@@ -101,6 +107,18 @@ func (st *watchStore) get(name string, create bool) *watchSession {
 	st.sessions[name] = ws
 	st.live.Add(1)
 	return ws
+}
+
+// stats totals the pipeline counters of every session this store ever
+// held, under the lock eviction folds under.
+func (st *watchStore) stats() pipeline.Stats {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	agg := st.retired
+	for _, ws := range st.sessions {
+		agg = agg.Add(ws.sess.PipelineStats())
+	}
+	return agg
 }
 
 func (ws *watchSession) touch() {
@@ -168,10 +186,10 @@ func wireDiff(d shelley.Diff) client.WatchDiff {
 	return out
 }
 
-// handleWatchPost runs one push round through the worker pool. The
-// launch key is unique per push — watch rounds mutate session state, so
-// coalescing two pushes into one execution would silently drop a
-// generation.
+// handleWatchPost runs one push round through the worker pool. It goes
+// straight to the pool, past any call table: watch rounds mutate session
+// state, so coalescing two pushes into one execution would silently drop
+// a generation.
 func (s *Server) handleWatchPost(w http.ResponseWriter, r *http.Request) int {
 	if s.watch == nil {
 		return s.writeError(w, http.StatusNotFound, "watch mode disabled; start shelleyd with -watch")
@@ -187,8 +205,10 @@ func (s *Server) handleWatchPost(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusBadRequest, "watch needs source (there is no fingerprint-only form)")
 	}
 	ws := s.watch.get(req.Session, true)
-	key := "watch\x00" + req.Session + "\x00" + strconv.FormatUint(s.watchKeySeq.Add(1), 10)
-	return s.execute(w, r, key, s.watchFn(ws, req))
+	c := newCall()
+	s.launch(r.Context(), false, s.watchFn(ws, req), c.resolve)
+	status, body, err := s.wait(r.Context(), c)
+	return s.reply(w, status, body, err)
 }
 
 // watchFn is the pooled body of one push round: incremental re-check,

@@ -14,16 +14,16 @@ import (
 //     true value, comfortably inside the 10% accuracy the status
 //     endpoint promises;
 //   - every decade anchor (1µs, 10µs, ..., 10s) is an exact bucket
-//     bound, and the five coarse pipeline-stats bounds (10µs..100ms)
-//     are all decade anchors — so fine counts roll up losslessly to
-//     the legacy /metrics exposition (RollupIndex).
+//     bound, so the /metrics histogram's le bounds (the anchors) are
+//     read off the fine counts without loss.
 const (
-	// bucketsPerDecade fixes the ratio r = 10^(1/16) ≈ 1.1548.
-	bucketsPerDecade = 16
+	// BucketsPerDecade fixes the ratio r = 10^(1/16) ≈ 1.1548; bucket
+	// i is a decade anchor exactly when i is a multiple of it.
+	BucketsPerDecade = 16
 
 	// numLatBounds is the count of finite upper bounds: 1µs·10^(i/16)
 	// for i in [0, 112]; bound 112 is exactly 10s.
-	numLatBounds = 7*bucketsPerDecade + 1
+	numLatBounds = 7*BucketsPerDecade + 1
 
 	// NumLatBuckets is the histogram size: every finite bound plus the
 	// overflow bucket.
@@ -31,19 +31,18 @@ const (
 )
 
 // latBounds[i] is the inclusive upper bound of bucket i in nanoseconds.
-// Decade anchors are computed in integer arithmetic so bucket
-// assignment agrees exactly with pipeline.BucketIndex at the bounds the
-// two schemes share.
+// Decade anchors are computed in integer arithmetic so each is exactly
+// its decimal value.
 var latBounds = func() [numLatBounds]int64 {
 	var b [numLatBounds]int64
 	decade := int64(1000) // 1µs in ns
 	for i := range b {
 		switch {
-		case i%bucketsPerDecade == 0:
+		case i%BucketsPerDecade == 0:
 			b[i] = decade
 			decade *= 10
 		default:
-			b[i] = int64(math.Round(1000 * math.Pow(10, float64(i)/bucketsPerDecade)))
+			b[i] = int64(math.Round(1000 * math.Pow(10, float64(i)/BucketsPerDecade)))
 		}
 	}
 	return b
@@ -79,28 +78,6 @@ func BucketLabel(i int) string {
 		return b.String()
 	}
 	return "+Inf"
-}
-
-// RollupIndex maps a fine bucket to the coarse 6-bucket pipeline-stats
-// scheme (bounds 10µs, 100µs, 1ms, 10ms, 100ms, +Inf). Because the
-// coarse bounds are exact fine bounds, the mapping is lossless: summing
-// fine counts by RollupIndex yields byte-for-byte the histogram the
-// coarse scheme would have recorded.
-func RollupIndex(fine int) int {
-	switch {
-	case fine <= 1*bucketsPerDecade:
-		return 0
-	case fine <= 2*bucketsPerDecade:
-		return 1
-	case fine <= 3*bucketsPerDecade:
-		return 2
-	case fine <= 4*bucketsPerDecade:
-		return 3
-	case fine <= 5*bucketsPerDecade:
-		return 4
-	default:
-		return 5
-	}
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of a latency

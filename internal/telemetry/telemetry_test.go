@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/shelley-go/shelley/internal/pipeline"
 	"github.com/shelley-go/shelley/internal/telemetry"
 )
 
@@ -41,29 +40,6 @@ func TestBucketAnchorsExact(t *testing.T) {
 	for i := 1; i < telemetry.NumLatBuckets-1; i++ {
 		if telemetry.BucketBound(i) <= telemetry.BucketBound(i-1) {
 			t.Fatalf("bounds not increasing at %d: %v <= %v", i, telemetry.BucketBound(i), telemetry.BucketBound(i-1))
-		}
-	}
-}
-
-// The fine scheme must roll up to pipeline's coarse scheme exactly:
-// for any duration, the coarse bucket of the fine bucket equals the
-// coarse bucket computed directly.
-func TestRollupMatchesPipelineBucketing(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100000; i++ {
-		d := time.Duration(rng.Int63n(int64(20 * time.Second)))
-		fine := telemetry.BucketIndex(d)
-		if got, want := telemetry.RollupIndex(fine), pipeline.BucketIndex(d); got != want {
-			t.Fatalf("d=%v fine=%d: RollupIndex=%d, pipeline.BucketIndex=%d", d, fine, got, want)
-		}
-	}
-	// Exact bounds, where off-by-one inclusivity bugs live.
-	for _, d := range []time.Duration{10 * time.Microsecond, 100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
-		for _, dd := range []time.Duration{d - 1, d, d + 1} {
-			fine := telemetry.BucketIndex(dd)
-			if got, want := telemetry.RollupIndex(fine), pipeline.BucketIndex(dd); got != want {
-				t.Fatalf("boundary d=%v: rollup=%d pipeline=%d", dd, got, want)
-			}
 		}
 	}
 }

@@ -52,6 +52,11 @@ func (s *Session) Module() *Module {
 	return s.mod
 }
 
+// PipelineStats returns a snapshot of the session cache's counters,
+// accumulated over every generation. Unlike Module().PipelineStats it
+// does not wait for an Update or Recheck in progress.
+func (s *Session) PipelineStats() PipelineStats { return s.cache.Stats() }
+
 // MethodDiff is the method-granularity difference of one changed class,
 // computed from per-operation fingerprints.
 type MethodDiff struct {
